@@ -15,6 +15,7 @@
 #include <mutex>
 
 #include "bench_common.hpp"
+#include "support/temp_dir.hpp"
 #include "core/dataset.hpp"
 #include "query/engine.hpp"
 #include "query/snapshot_view.hpp"
@@ -385,9 +386,14 @@ BENCHMARK(BM_KShapeThreads)
 // subsystem: it must beat regeneration by >= 20x (tracked in
 // BENCH_core.json).
 
+/// This process's scratch directory, removed at exit.
+const test::TempDir& bench_dir() {
+  static const test::TempDir dir("perf_core");
+  return dir;
+}
+
 std::string snapshot_bench_path() {
-  return (std::filesystem::temp_directory_path() / "appscope_bench.snapshot")
-      .string();
+  return (bench_dir() / "bench.snapshot").string();
 }
 
 void BM_DatasetGenerate(benchmark::State& state) {
@@ -442,9 +448,7 @@ BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 std::string query_bench_snapshot() {
   static const std::string path = [] {
-    const std::string p = (std::filesystem::temp_directory_path() /
-                           "appscope_bench_query.snapshot")
-                              .string();
+    const std::string p = (bench_dir() / "bench_query.snapshot").string();
     core::TrafficDataset::generate(synth::ScenarioConfig::example_scale())
         .save(p);
     return p;
@@ -652,7 +656,7 @@ BENCHMARK(BM_IngestEventsSampled)
 // accumulation, atomic publish).
 
 std::string region_bench_root(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (bench_dir() / name).string();
 }
 
 void BM_RegionOrchestrate(benchmark::State& state) {

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# Full verification: configure, build (warnings as errors), run every test,
-# every figure bench and every example. This is the CI entry point.
+# Full verification: lint, configure, build (warnings as errors), run every
+# test, every figure bench and every example. This is the CI entry point.
 #
 # Flags (combinable, any order):
+#   --lint     run only the source lints (no build) and exit: only src/io/
+#              renames, links or copies files, and only
+#              tests/support/temp_dir.hpp names a path under the system
+#              temp directory
 #   --tsan     rebuild with ThreadSanitizer and run the Parallel* tests
 #              (also enabled by APPSCOPE_TSAN=1)
 #   --metrics  run an instrumented bench and assert metrics.json is
@@ -39,17 +43,43 @@ RUN_TRACE="${APPSCOPE_TRACE_CHECK:-0}"
 RUN_SERVE="${APPSCOPE_SERVE_CHECK:-0}"
 RUN_QUERY="${APPSCOPE_QUERY_CHECK:-0}"
 RUN_REGION="${APPSCOPE_REGION_CHECK:-0}"
+LINT_ONLY=0
 for arg in "$@"; do
   case "$arg" in
+    --lint) LINT_ONLY=1 ;;
     --tsan) RUN_TSAN=1 ;;
     --metrics) RUN_METRICS=1 ;;
     --trace) RUN_TRACE=1 ;;
     --serve) RUN_SERVE=1 ;;
     --query) RUN_QUERY=1 ;;
     --region) RUN_REGION=1 ;;
-    *) echo "usage: $0 [--tsan] [--metrics] [--trace] [--serve] [--query] [--region]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--lint] [--tsan] [--metrics] [--trace] [--serve] [--query] [--region]" >&2; exit 2 ;;
   esac
 done
+
+# Lints. The snapshot publish policy (temp name, fsync, rename, latest link)
+# lives in src/io/ only; a file call anywhere else in src/ is a second,
+# hand-rolled publish path. Tests and benches take scratch space from the
+# per-process helper, never a fixed name that parallel ctest processes share.
+lint() {
+  local hits
+  hits=$(grep -rnE '(fs|filesystem)::(rename|copy_file|create_hard_link)|[^_a-z]::rename\(|[^_a-z.]link\(' \
+           src --include=*.cpp --include=*.hpp | grep -v '^src/io/' || true)
+  if [ -n "$hits" ]; then
+    echo "FAIL: file rename/link/copy outside src/io/ (publish through io::write_snapshot / io::publish_latest):" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+  hits=$(grep -rn 'temp_directory_path()' tests bench | grep -v '^tests/support/temp_dir\.hpp:' || true)
+  if [ -n "$hits" ]; then
+    echo "FAIL: temp_directory_path() outside tests/support/temp_dir.hpp (use test::temp_path or test::TempDir):" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+  echo "lint OK"
+}
+lint
+[ "$LINT_ONLY" = "0" ] || exit 0
 
 # Prefer Ninja but don't require it: fall back to CMake's default generator
 # when ninja is not installed. An existing cache keeps whatever generator

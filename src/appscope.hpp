@@ -78,7 +78,6 @@
 #include "io/format.hpp"
 #include "io/snapshot.hpp"
 #include "io/snapshot_reader.hpp"
-#include "io/snapshot_sink.hpp"
 #include "io/snapshot_writer.hpp"
 
 // core — the paper's analyses

@@ -42,8 +42,8 @@ class TrafficDataset {
 
   // --- Snapshots ------------------------------------------------------------
   /// Persists the dataset as one self-contained "appscope.snapshot/1" file
-  /// (config, territory, subscribers, catalog and all aggregates). Throws
-  /// util::InputError on I/O failure.
+  /// (config, territory, subscribers, catalog and all aggregates), replacing
+  /// `path` atomically. Throws util::InputError on I/O failure.
   void save(const std::string& path) const;
 
   /// Reconstructs a dataset from a snapshot written by save(). The loaded

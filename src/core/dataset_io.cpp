@@ -151,15 +151,6 @@ TrafficDataset load_or_generate_snapshot(const synth::ScenarioConfig& config,
   return dataset;
 }
 
-std::string find_latest_snapshot(const std::string& directory) {
-  return io::find_latest_snapshot(directory);
-}
-
-std::string find_latest_snapshot(const std::string& directory,
-                                 const std::string& subdir) {
-  return io::find_latest_snapshot(directory, subdir);
-}
-
 namespace detail {
 
 namespace {
@@ -180,7 +171,7 @@ TrafficDataset load_epoch_snapshot(const std::string& directory) {
   // so persistent failure means real corruption, not racing.
   constexpr int kAttempts = 3;
   for (int attempt = 0;; ++attempt) {
-    const std::string path = find_latest_snapshot(directory);
+    const std::string path = io::find_latest_snapshot(directory);
     if (path.empty()) {
       throw util::InputError("load_epoch_snapshot: no snapshot in " + directory);
     }

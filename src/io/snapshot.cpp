@@ -1,5 +1,6 @@
 #include "io/snapshot.hpp"
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <system_error>
@@ -236,6 +237,13 @@ std::string find_latest_snapshot(const std::string& directory,
   }
   return find_latest_snapshot(
       (std::filesystem::path(directory) / subdir).string());
+}
+
+std::string epoch_filename(std::uint64_t index) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "epoch_%06llu.snapshot",
+                static_cast<unsigned long long>(index));
+  return buf;
 }
 
 }  // namespace appscope::io

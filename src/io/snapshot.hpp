@@ -45,9 +45,10 @@ struct SnapshotStats {
   std::uint32_t sections = 0;
 };
 
-/// Writes a complete dataset snapshot. Throws util::InputError on I/O
-/// failure and util::PreconditionError when the aggregate shapes disagree
-/// with the territory/catalog dimensions.
+/// Writes a complete dataset snapshot, atomically replacing `path` (see
+/// SnapshotWriter). Throws util::InputError on I/O failure and
+/// util::PreconditionError when the aggregate shapes disagree with the
+/// territory/catalog dimensions.
 SnapshotStats write_snapshot(const std::string& path,
                              const synth::ScenarioConfig& config,
                              const geo::Territory& territory,
@@ -94,5 +95,9 @@ std::string find_latest_snapshot(const std::string& directory);
 /// can never escape the publish root.
 std::string find_latest_snapshot(const std::string& directory,
                                  const std::string& subdir);
+
+/// "epoch_<index>.snapshot", the index zero-padded to six digits so that
+/// find_latest_snapshot's lexicographic order is the numeric order.
+std::string epoch_filename(std::uint64_t index);
 
 }  // namespace appscope::io

@@ -1,7 +1,7 @@
 // appscope/query/follower.hpp
 //
 // Refresh-on-publish: tracks the appscope_serve daemon's publish point
-// (`latest.snapshot`, atomically renamed into place at each epoch seal) and
+// (`latest.snapshot`, re-linked to the newest epoch at each seal) and
 // hands out a shared SnapshotView of the newest sealed snapshot. refresh()
 // re-resolves the publish point; when the published file changed it opens a
 // new view and swaps it in, with a bounded retry against the find/open race
@@ -36,8 +36,12 @@ class Follower {
   std::uint64_t reloads() const;
 
  private:
+  /// Identity of a published file. Every publish renames a new inode into
+  /// place, so the inode tells epochs apart even when their size and
+  /// (coarse) mtime agree.
   struct Published {
     std::string path;
+    std::uint64_t inode = 0;
     std::uint64_t size = 0;
     std::int64_t mtime_ns = 0;
 

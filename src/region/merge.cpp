@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <numeric>
-#include <system_error>
 
 #include "region/spec.hpp"
 #include "ts/calendar.hpp"
@@ -14,8 +12,6 @@
 #include "util/trace.hpp"
 
 namespace appscope::region {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -299,15 +295,10 @@ MergeStats write_national_snapshot(const io::LoadedSnapshot& merged,
   }
   stats.regions = stats.region_ids.size();
 
-  const std::string tmp = out_path + ".tmp";
-  io::write_snapshot(tmp, merged.config, *merged.territory, *merged.subscribers,
-                     *merged.catalog, merged.aggregates);
-  std::error_code ec;
-  fs::rename(tmp, out_path, ec);
-  if (ec) {
-    reject("cannot publish " + out_path + ": " + ec.message());
-  }
-  stats.bytes = static_cast<std::uint64_t>(fs::file_size(out_path, ec));
+  stats.bytes = io::write_snapshot(out_path, merged.config, *merged.territory,
+                                   *merged.subscribers, *merged.catalog,
+                                   merged.aggregates)
+                    .bytes;
 
   if (util::MetricsRegistry::enabled()) {
     auto& metrics = util::MetricsRegistry::global();

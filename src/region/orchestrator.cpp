@@ -1,6 +1,5 @@
 #include "region/orchestrator.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
@@ -8,6 +7,7 @@
 #include "io/serialize.hpp"
 #include "io/snapshot.hpp"
 #include "io/snapshot_reader.hpp"
+#include "io/snapshot_writer.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -18,46 +18,6 @@ namespace appscope::region {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string epoch_filename(std::uint64_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "epoch_%06llu.snapshot",
-                static_cast<unsigned long long>(index));
-  return buf;
-}
-
-void rename_or_throw(const fs::path& from, const fs::path& to) {
-  std::error_code ec;
-  fs::rename(from, to, ec);
-  if (ec) {
-    throw util::InputError("orchestrate: cannot publish " + to.string() +
-                           ": " + ec.message());
-  }
-}
-
-/// Seals one freshly generated region snapshot with the serve-daemon
-/// publish sequence: write the epoch under a .tmp name, atomically rename
-/// it into place, then republish latest.snapshot the same way. A crash
-/// between the two renames leaves a valid epoch file that
-/// find_latest_snapshot still resolves.
-std::string publish(const core::TrafficDataset& dataset, const fs::path& dir,
-                    std::uint64_t epoch) {
-  const fs::path epoch_path = dir / epoch_filename(epoch);
-  const fs::path epoch_tmp = dir / (epoch_filename(epoch) + ".tmp");
-  dataset.save(epoch_tmp.string());
-  rename_or_throw(epoch_tmp, epoch_path);
-
-  const fs::path latest_tmp = dir / "latest.snapshot.tmp";
-  std::error_code ec;
-  fs::copy_file(epoch_path, latest_tmp, fs::copy_options::overwrite_existing,
-                ec);
-  if (ec) {
-    throw util::InputError("orchestrate: cannot stage latest.snapshot in " +
-                           dir.string() + ": " + ec.message());
-  }
-  rename_or_throw(latest_tmp, dir / "latest.snapshot");
-  return epoch_path.string();
-}
 
 RegionRun run_shard(const RegionSpec& spec, const OrchestratorOptions& options) {
   util::ScopedSpan span("region.shard");
@@ -97,7 +57,9 @@ RegionRun run_shard(const RegionSpec& spec, const OrchestratorOptions& options) 
   }
 
   const core::TrafficDataset dataset = core::TrafficDataset::generate(spec.config);
-  run.snapshot_path = publish(dataset, dir, options.epoch);
+  run.snapshot_path = (dir / io::epoch_filename(options.epoch)).string();
+  dataset.save(run.snapshot_path);
+  io::publish_latest(dir.string(), run.snapshot_path);
   run.bytes = static_cast<std::uint64_t>(fs::file_size(run.snapshot_path, ec));
   run.communes = dataset.commune_count();
   return run;

@@ -9,10 +9,10 @@
 // At each boundary the daemon merges the shard deltas into its rolling
 // state and the sealer writes it through the existing snapshot store as a
 // self-contained "appscope.snapshot/1" file: epoch_<index>.snapshot, plus
-// an atomically republished latest.snapshot. Readers (run_study,
-// paper_report, appscope_query consumers) always observe a complete,
-// CRC-valid file: snapshots are written to a temp name in the same
-// directory and renamed into place, and rename is atomic on POSIX.
+// latest.snapshot republished as a hard link to it. Both go through the io
+// publish path (temp write, fsync, atomic rename, directory fsync), so
+// readers (run_study, paper_report, appscope_query consumers) always observe
+// a complete, CRC-valid file.
 #pragma once
 
 #include <array>
@@ -58,14 +58,12 @@ class EpochSealer {
               const workload::ServiceCatalog& catalog);
 
   /// Seals the rolling state as epoch `index`: writes epoch_<index>.snapshot
-  /// and republishes latest.snapshot, both via write-to-temp + atomic
-  /// rename. Throws util::InputError on I/O failure.
+  /// and republishes latest.snapshot (io::write_snapshot, then
+  /// io::publish_latest). Throws util::InputError on I/O failure.
   SealedEpoch seal(std::uint64_t index, const EventAggregates& rolling);
 
   /// Path the most recent complete snapshot is published under.
   std::string latest_path() const;
-
-  static std::string epoch_filename(std::uint64_t index);
 
  private:
   std::string directory_;

@@ -7,7 +7,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "io/snapshot.hpp"
 #include "util/error.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::core {
 namespace {
@@ -89,9 +91,7 @@ TEST(DatasetIo, ReadRejectsMalformedDocuments) {
 }
 
 TEST(DatasetIo, ExportWritesAllThreeFiles) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "appscope_io_test").string();
-  std::filesystem::remove_all(dir);
+  const std::string dir = test::temp_path("csv").string();
   const auto written = export_dataset_csv(dataset(), dir);
   ASSERT_EQ(written.size(), 3u);
   for (const auto& path : written) {
@@ -105,18 +105,12 @@ TEST(DatasetIo, ExportWritesAllThreeFiles) {
 
 namespace fs = std::filesystem;
 
-struct EpochDir {
-  fs::path dir;
+using io::find_latest_snapshot;
 
-  explicit EpochDir(const char* name)
-      : dir(fs::temp_directory_path() / name) {
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
-  ~EpochDir() {
-    detail::set_epoch_load_test_hook(nullptr);
-    fs::remove_all(dir);
-  }
+struct EpochDir {
+  fs::path dir = test::test_dir();
+
+  ~EpochDir() { detail::set_epoch_load_test_hook(nullptr); }
 
   std::string latest() const { return (dir / "latest.snapshot").string(); }
 };
@@ -125,7 +119,7 @@ TEST(DatasetIo, LoadEpochSnapshotRetriesWhenPublisherSwapsTheFile) {
   // Simulates the daemon sealing a new epoch between find_latest_snapshot()
   // and load(): attempt 0 sees a half-replaced (truncated) file; the retry
   // must land on the restored valid snapshot instead of surfacing an error.
-  EpochDir e("appscope_epoch_race");
+  EpochDir e;
   dataset().save(e.latest());
   std::vector<char> valid;
   {
@@ -156,7 +150,7 @@ TEST(DatasetIo, LoadEpochSnapshotRetriesWhenPublisherSwapsTheFile) {
 TEST(DatasetIo, LoadEpochSnapshotGivesUpAfterBoundedRetries) {
   // A genuinely corrupt snapshot must still fail: the retry is bounded, not
   // an infinite loop papering over bad data.
-  EpochDir e("appscope_epoch_corrupt");
+  EpochDir e;
   dataset().save(e.latest());
   int calls = 0;
   detail::set_epoch_load_test_hook([&](int) {
@@ -169,12 +163,12 @@ TEST(DatasetIo, LoadEpochSnapshotGivesUpAfterBoundedRetries) {
 }
 
 TEST(DatasetIo, LoadEpochSnapshotEmptyDirectoryThrows) {
-  EpochDir e("appscope_epoch_empty");
+  EpochDir e;
   EXPECT_THROW(load_epoch_snapshot(e.dir.string()), util::InputError);
 }
 
-TEST(DatasetIo, FindLatestSnapshotForwardsToIo) {
-  EpochDir e("appscope_epoch_find");
+TEST(DatasetIo, FindLatestSnapshotPrefersLatestThenHighestEpoch) {
+  EpochDir e;
   EXPECT_EQ(find_latest_snapshot(e.dir.string()), "");
   { std::ofstream((e.dir / "epoch_0003.snapshot").string()) << "x"; }
   { std::ofstream((e.dir / "epoch_0011.snapshot").string()) << "x"; }
@@ -189,7 +183,7 @@ TEST(DatasetIo, FindLatestSnapshotIgnoresRegionSubdirectories) {
   // (<root>/<region>/epoch_*.snapshot). Resolution at the root must never
   // cross-match into them — neither via directory names that look like
   // snapshots nor via their contents.
-  EpochDir e("appscope_epoch_nested");
+  EpochDir e;
   fs::create_directories(e.dir / "paris");
   { std::ofstream((e.dir / "paris" / "epoch_000007.snapshot").string()) << "x"; }
   EXPECT_EQ(find_latest_snapshot(e.dir.string()), "");
@@ -205,7 +199,7 @@ TEST(DatasetIo, FindLatestSnapshotIgnoresRegionSubdirectories) {
 }
 
 TEST(DatasetIo, FindLatestSnapshotSubdirectoryFilter) {
-  EpochDir e("appscope_epoch_subdir");
+  EpochDir e;
   fs::create_directories(e.dir / "paris");
   fs::create_directories(e.dir / "lyon");
   { std::ofstream((e.dir / "paris" / "epoch_000002.snapshot").string()) << "x"; }

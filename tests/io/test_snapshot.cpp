@@ -22,25 +22,38 @@
 #include "core/dataset.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::io {
 namespace {
 
-std::filesystem::path temp_file(const std::string& name) {
-  return std::filesystem::temp_directory_path() / ("appscope_snap_" + name);
+synth::ScenarioConfig small_config() {
+  auto cfg = synth::ScenarioConfig::test_scale();
+  cfg.country.commune_count = 60;
+  cfg.country.metro_count = 2;
+  return cfg;
 }
 
-/// A small generated dataset saved once; corruption tests mutate copies.
-const std::string& base_snapshot() {
-  static const std::string path = [] {
-    auto cfg = synth::ScenarioConfig::test_scale();
-    cfg.country.commune_count = 60;
-    cfg.country.metro_count = 2;
-    const std::string p = temp_file("base.snapshot").string();
-    core::TrafficDataset::generate(cfg).save(p);
-    return p;
-  }();
+/// A small generated dataset saved once per test; corruption tests mutate
+/// copies.
+std::string base_snapshot() {
+  const std::string path = test::temp_path("base.snapshot").string();
+  if (!std::filesystem::exists(path)) {
+    core::TrafficDataset::generate(small_config()).save(path);
+  }
   return path;
+}
+
+/// Names of the files in the running test's directory that are left-over
+/// temp files of the snapshot publish path.
+std::vector<std::string> temp_leftovers() {
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(test::test_dir())) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp") != std::string::npos) names.push_back(name);
+  }
+  return names;
 }
 
 std::vector<char> read_file(const std::string& path) {
@@ -62,7 +75,7 @@ template <typename Mutate>
 std::string corrupted(const std::string& name, Mutate&& mutate) {
   std::vector<char> bytes = read_file(base_snapshot());
   mutate(bytes);
-  const std::string path = temp_file(name).string();
+  const std::string path = test::temp_path(name).string();
   write_file(path, bytes);
   return path;
 }
@@ -189,7 +202,7 @@ TEST(SnapshotSerialize, DecodeRejectsTrailingAndTruncatedBytes) {
 // --- writer/reader ----------------------------------------------------------
 
 TEST(SnapshotFormat, WriterReaderRoundTrip) {
-  const std::string path = temp_file("roundtrip.snapshot").string();
+  const std::string path = test::temp_path("roundtrip.snapshot").string();
   SnapshotWriter::Dimensions dims{3, 5, 168, 2, 4};
   const std::vector<double> column = {1.5, -2.25, 1e300, 0.0, 1e-300, 42.0};
   const std::vector<std::uint64_t> ids = {7, 8, 9};
@@ -240,16 +253,34 @@ TEST(SnapshotFormat, SectionPayloadsAreAlignedForZeroCopy) {
             0u);
 }
 
-TEST(SnapshotFormat, UnfinishedWriterLeavesUnreadableFile) {
-  const std::string path = temp_file("unfinished.snapshot").string();
+TEST(SnapshotFormat, UnfinishedWriterLeavesPreviousFileIntact) {
+  const std::string path = base_snapshot();
+  const std::vector<char> before = read_file(path);
   {
     SnapshotWriter writer(path, {1, 1, 168, 2, 4}, 1, 2);
     const std::vector<double> col = {1.0};
     writer.add_f64_section(SectionId::kNationalSeries, col);
     // No finish(): simulates a crash mid-write.
   }
-  expect_input_error([&] { SnapshotReader reader(path); }, "bad magic");
-  std::filesystem::remove(path);
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_NO_THROW(read_snapshot(path));
+  EXPECT_EQ(temp_leftovers(), std::vector<std::string>{});
+}
+
+TEST(SnapshotFormat, SaveOverAnOpenLazyReaderKeepsItsSectionsValid) {
+  // A reader mapping a snapshot while a writer replaces that path must keep
+  // reading the file it opened: the replacement is a new file renamed into
+  // place, never the old one rewritten under the live mapping.
+  const std::string path = base_snapshot();
+  const SnapshotReader reader(path, ValidationMode::kLazy);
+  auto other = small_config();
+  other.traffic_seed += 1;
+  core::TrafficDataset::generate(other).save(path);
+  for (const SectionEntry& e : reader.sections()) {
+    EXPECT_NO_THROW(reader.section(e.id)) << section_name(e.id);
+  }
+  EXPECT_NE(read_snapshot_config_hash(path), reader.header().config_hash);
+  EXPECT_EQ(temp_leftovers(), std::vector<std::string>{});
 }
 
 // --- corruption taxonomy ----------------------------------------------------
@@ -314,19 +345,21 @@ TEST(SnapshotCorruption, DimensionMismatchRejected) {
 }
 
 TEST(SnapshotCorruption, EmptyAndForeignFilesRejected) {
-  const std::string empty = temp_file("empty.snapshot").string();
+  const std::string empty = test::temp_path("empty.snapshot").string();
   write_file(empty, {});
   expect_input_error([&] { SnapshotReader reader(empty); }, "truncated");
   std::filesystem::remove(empty);
 
-  const std::string foreign = temp_file("foreign.snapshot").string();
+  const std::string foreign = test::temp_path("foreign.snapshot").string();
   std::vector<char> junk(4096, 'z');
   write_file(foreign, junk);
   expect_input_error([&] { SnapshotReader reader(foreign); }, "bad magic");
   std::filesystem::remove(foreign);
 
   expect_input_error(
-      [&] { SnapshotReader reader(temp_file("missing.snapshot").string()); },
+      [&] {
+        SnapshotReader reader(test::temp_path("missing.snapshot").string());
+      },
       "cannot open");
 }
 

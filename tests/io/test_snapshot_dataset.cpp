@@ -1,29 +1,23 @@
 // End-to-end tests of dataset persistence: TrafficDataset::save/load
 // reproduces every aggregate bitwise (so an analysis on the loaded dataset
-// emits a byte-identical report), the streaming io::SnapshotSink writes the
-// same file as a post-hoc save, and load_or_generate_snapshot caches
+// emits a byte-identical report) and load_or_generate_snapshot caches
 // correctly.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <type_traits>
 
 #include "core/dataset.hpp"
 #include "core/dataset_io.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
-#include "io/snapshot_sink.hpp"
-#include "synth/generator.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::core {
 namespace {
-
-static_assert(std::is_same_v<synth::SnapshotSink, io::SnapshotSink>,
-              "the streaming sink is aliased into the synth namespace");
 
 synth::ScenarioConfig small_config() {
   auto cfg = synth::ScenarioConfig::test_scale();
@@ -37,10 +31,6 @@ const TrafficDataset& dataset() {
   return d;
 }
 
-std::filesystem::path temp_file(const std::string& name) {
-  return std::filesystem::temp_directory_path() / ("appscope_snapds_" + name);
-}
-
 std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
@@ -50,7 +40,7 @@ std::string file_bytes(const std::string& path) {
 }
 
 TEST(SnapshotDataset, SaveLoadRoundTripIsBitwise) {
-  const std::string path = temp_file("roundtrip.snapshot").string();
+  const std::string path = test::temp_path("roundtrip.snapshot").string();
   dataset().save(path);
   const TrafficDataset loaded = TrafficDataset::load(path);
 
@@ -83,7 +73,7 @@ TEST(SnapshotDataset, SaveLoadRoundTripIsBitwise) {
 }
 
 TEST(SnapshotDataset, LoadedDatasetEmitsByteIdenticalReport) {
-  const std::string path = temp_file("report.snapshot").string();
+  const std::string path = test::temp_path("report.snapshot").string();
   dataset().save(path);
   const TrafficDataset loaded = TrafficDataset::load(path);
 
@@ -99,33 +89,8 @@ TEST(SnapshotDataset, LoadedDatasetEmitsByteIdenticalReport) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotDataset, StreamingSinkWritesTheSameFileAsSave) {
-  const auto config = small_config();
-  const geo::Territory territory = geo::build_synthetic_country(config.country);
-  const workload::SubscriberBase subscribers(territory, config.population);
-  const auto catalog = workload::ServiceCatalog::paper_services();
-
-  const std::string streamed = temp_file("streamed.snapshot").string();
-  {
-    io::SnapshotSink sink(streamed, config, territory, subscribers, catalog);
-    const synth::AnalyticGenerator generator(territory, subscribers, catalog,
-                                             config.traffic_seed,
-                                             config.temporal_noise_sigma);
-    generator.generate(sink);
-    const io::SnapshotStats stats = sink.finish();
-    EXPECT_EQ(stats.sections, 9u);
-    EXPECT_EQ(stats.bytes, std::filesystem::file_size(streamed));
-  }
-
-  const std::string saved = temp_file("saved.snapshot").string();
-  dataset().save(saved);
-  EXPECT_EQ(file_bytes(streamed), file_bytes(saved));
-  std::filesystem::remove(streamed);
-  std::filesystem::remove(saved);
-}
-
 TEST(SnapshotDataset, LoadOrGenerateCachesAndValidates) {
-  const std::string path = temp_file("cache.snapshot").string();
+  const std::string path = test::temp_path("cache.snapshot").string();
   std::filesystem::remove(path);
   const auto config = small_config();
 
@@ -145,7 +110,7 @@ TEST(SnapshotDataset, LoadOrGenerateCachesAndValidates) {
 }
 
 TEST(SnapshotDataset, MetricsCountersTrackBytesAndSections) {
-  const std::string path = temp_file("metrics.snapshot").string();
+  const std::string path = test::temp_path("metrics.snapshot").string();
   util::MetricsRegistry::set_enabled(true);
   util::MetricsRegistry::global().reset();
   dataset().save(path);
@@ -171,8 +136,8 @@ TEST(SnapshotDataset, MetricsCountersTrackBytesAndSections) {
 TEST(SnapshotDataset, MetricsOffRunIsBitwiseIdenticalToMetricsOn) {
   // The snapshot path follows the repo's observability contract: metrics
   // are pure observation, so the bytes on disk do not depend on the gate.
-  const std::string off = temp_file("gate_off.snapshot").string();
-  const std::string on = temp_file("gate_on.snapshot").string();
+  const std::string off = test::temp_path("gate_off.snapshot").string();
+  const std::string on = test::temp_path("gate_on.snapshot").string();
   util::MetricsRegistry::set_enabled(false);
   dataset().save(off);
   util::MetricsRegistry::set_enabled(true);

@@ -28,6 +28,7 @@
 #include "serve/epoch.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::obs {
 namespace {
@@ -56,12 +57,6 @@ synth::ScenarioConfig tiny_config() {
   cfg.country.commune_count = 50;
   cfg.country.metro_count = 2;
   return cfg;
-}
-
-fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_obs_" + name);
-  fs::remove_all(dir);
-  return dir;
 }
 
 std::string file_bytes(const fs::path& path) {
@@ -109,7 +104,7 @@ std::vector<std::string> sealed_bytes(const fs::path& dir) {
   std::vector<std::string> bytes;
   for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
     bytes.push_back(
-        file_bytes(dir / serve::EpochSealer::epoch_filename(epoch)));
+        file_bytes(dir / io::epoch_filename(epoch)));
   }
   bytes.push_back(file_bytes(dir / "latest.snapshot"));
   return bytes;
@@ -121,7 +116,7 @@ TEST(ParallelObsPurity, TelemetryPlaneDoesNotPerturbSealedSnapshots) {
   {
     const bool was = util::MetricsRegistry::enabled();
     util::MetricsRegistry::set_enabled(false);
-    const fs::path dir = temp_dir("baseline");
+    const fs::path dir = test::temp_path("baseline");
     const serve::ServeStats stats = run_daemon(dir, 2);
     EXPECT_EQ(stats.epochs_sealed, 3u);
     baseline = sealed_bytes(dir);
@@ -152,7 +147,7 @@ TEST(ParallelObsPurity, TelemetryPlaneDoesNotPerturbSealedSnapshots) {
       });
     }
 
-    const fs::path dir = temp_dir("plane_" + std::to_string(shards));
+    const fs::path dir = test::temp_path("plane_" + std::to_string(shards));
     const serve::ServeStats stats = run_daemon(dir, shards);
     done.store(true, std::memory_order_relaxed);
     for (auto& s : scrapers) s.join();

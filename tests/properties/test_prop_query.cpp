@@ -21,11 +21,13 @@
 
 #include "core/dataset.hpp"
 #include "core/slicing.hpp"
+#include "io/snapshot_writer.hpp"
 #include "la/simd.hpp"
 #include "query/engine.hpp"
 #include "query/follower.hpp"
 #include "query/snapshot_view.hpp"
 #include "util/parallel.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::query {
 namespace {
@@ -41,19 +43,17 @@ synth::ScenarioConfig tiny_config(std::uint64_t seed = 0) {
 }
 
 fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_propq_" + name);
-  fs::remove_all(dir);
+  const fs::path dir = test::temp_path(name);
   fs::create_directories(dir);
   return dir;
 }
 
-const std::string& shared_snapshot() {
-  static const std::string path = [] {
-    const std::string p =
-        (fs::temp_directory_path() / "appscope_propq_shared.snapshot").string();
-    core::TrafficDataset::generate(tiny_config()).save(p);
-    return p;
-  }();
+/// The test's snapshot of tiny_config(), saved on first use.
+std::string shared_snapshot() {
+  const std::string path = test::temp_path("shared.snapshot").string();
+  if (!fs::exists(path)) {
+    core::TrafficDataset::generate(tiny_config()).save(path);
+  }
   return path;
 }
 
@@ -154,13 +154,12 @@ TEST(ParallelQueryEngineSharing, OneEngineServesManyReaderThreads) {
 // --- readers racing a live publisher ----------------------------------------
 
 TEST(ParallelQueryConcurrentReaders, EveryReadObservesOneConsistentSnapshot) {
-  // A publisher republishes latest.snapshot (write temp + atomic rename)
+  // A publisher republishes latest.snapshot (link temp + atomic rename)
   // while reader threads refresh and query through a shared Follower. Each
   // sealed epoch scales the base traffic by a distinct power of two, so
   // every per-epoch aggregate is a distinct exact double: any torn read —
   // a blend of two epochs — would produce a value outside the expected set.
   const fs::path dir = temp_dir("follow_race");
-  const std::string latest = (dir / "latest.snapshot").string();
 
   constexpr int kEpochs = 4;
   std::vector<std::string> staged;
@@ -187,7 +186,7 @@ TEST(ParallelQueryConcurrentReaders, EveryReadObservesOneConsistentSnapshot) {
                 .size(),
             expected_values.size());
 
-  fs::copy_file(staged[0], latest);
+  io::publish_latest(dir.string(), staged[0]);
   Follower follower(dir.string());
   std::atomic<bool> stop{false};
   std::atomic<int> bad_values{0};
@@ -212,13 +211,10 @@ TEST(ParallelQueryConcurrentReaders, EveryReadObservesOneConsistentSnapshot) {
     });
   }
 
-  // Publisher: republish each epoch with the daemon's write+rename pattern.
+  // Publisher: republish each epoch through the daemon's publish path.
   for (int round = 0; round < 3; ++round) {
     for (int e = 0; e < kEpochs; ++e) {
-      const std::string tmp = latest + ".tmp";
-      fs::copy_file(staged[static_cast<std::size_t>(e)], tmp,
-                    fs::copy_options::overwrite_existing);
-      fs::rename(tmp, latest);
+      io::publish_latest(dir.string(), staged[static_cast<std::size_t>(e)]);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }

@@ -27,17 +27,12 @@
 #include "region/report.hpp"
 #include "region/spec.hpp"
 #include "util/parallel.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::region {
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_prop_" + name);
-  fs::remove_all(dir);
-  return dir;
-}
 
 std::string file_bytes(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -58,7 +53,7 @@ struct CampaignOutput {
 CampaignOutput run_campaign(const std::string& tag, std::size_t threads,
                             const std::vector<std::size_t>& merge_order) {
   util::ThreadPool::set_global_threads(threads);
-  const fs::path root = temp_dir(tag);
+  const fs::path root = test::temp_path(tag);
   const RegionSet set = RegionSet::metro_areas(4, RegionScale::kTiny);
 
   OrchestratorOptions options;

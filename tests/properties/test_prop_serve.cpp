@@ -30,6 +30,7 @@
 #include "synth/replay.hpp"
 #include "workload/catalog.hpp"
 #include "workload/population.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::serve {
 namespace {
@@ -41,12 +42,6 @@ synth::ScenarioConfig tiny_config() {
   cfg.country.commune_count = 50;
   cfg.country.metro_count = 2;
   return cfg;
-}
-
-fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_prop_" + name);
-  fs::remove_all(dir);
-  return dir;
 }
 
 std::string file_bytes(const fs::path& path) {
@@ -76,13 +71,14 @@ TEST(ParallelIngestDeterminism, SealedSnapshotsBitwiseIdenticalAcrossShards) {
   std::vector<std::string> epoch_bytes[3];
 
   for (std::size_t i = 0; i < std::size(shard_counts); ++i) {
-    const fs::path dir = temp_dir("det_" + std::to_string(shard_counts[i]));
+    const fs::path dir =
+        test::temp_path("det_" + std::to_string(shard_counts[i]));
     const ServeStats stats = run_daemon(dir, shard_counts[i]);
     EXPECT_EQ(stats.epochs_sealed, 3u);
     EXPECT_EQ(stats.sampled, 0u);
     for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
       epoch_bytes[i].push_back(
-          file_bytes(dir / EpochSealer::epoch_filename(epoch)));
+          file_bytes(dir / io::epoch_filename(epoch)));
       EXPECT_FALSE(epoch_bytes[i].back().empty());
     }
     epoch_bytes[i].push_back(file_bytes(dir / "latest.snapshot"));
@@ -100,8 +96,8 @@ TEST(ParallelIngestDeterminism, SealedSnapshotsBitwiseIdenticalAcrossShards) {
 }
 
 TEST(ParallelIngestDeterminism, RepeatedRunsAreBitwiseIdentical) {
-  const fs::path dir_a = temp_dir("rep_a");
-  const fs::path dir_b = temp_dir("rep_b");
+  const fs::path dir_a = test::temp_path("rep_a");
+  const fs::path dir_b = test::temp_path("rep_b");
   run_daemon(dir_a, 4);
   run_daemon(dir_b, 4);
   EXPECT_EQ(file_bytes(dir_a / "latest.snapshot"),
@@ -112,7 +108,7 @@ TEST(ParallelIngestDeterminism, RepeatedRunsAreBitwiseIdentical) {
 
 TEST(ParallelIngestOverload, SamplingIsExactAndWithinEstimatorBound) {
   constexpr std::uint64_t kPeriod = 4;
-  const fs::path dir = temp_dir("overload");
+  const fs::path dir = test::temp_path("overload");
   const ServeStats stats =
       run_daemon(dir, 4, /*force_sampling=*/true, kPeriod);
 

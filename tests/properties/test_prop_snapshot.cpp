@@ -16,16 +16,12 @@
 #include "core/study.hpp"
 #include "synth/scenario.hpp"
 #include "util/parallel.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope {
 namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
-
-std::string snapshot_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("appscope_prop_" + name))
-      .string();
-}
 
 template <typename Fn>
 void expect_identical_across_thread_counts(Fn&& fn) {
@@ -78,7 +74,7 @@ TEST(ParallelDeterminism, SnapshotRoundTripStudyIsBitwiseIdentical) {
   options.cluster.k_max = 6;
 
   expect_identical_across_thread_counts([&] {
-    const std::string path = snapshot_path("study.snapshot");
+    const std::string path = test::temp_path("study.snapshot");
     core::TrafficDataset::generate(config).save(path);
     const core::TrafficDataset loaded = core::TrafficDataset::load(path);
     std::filesystem::remove(path);
@@ -92,7 +88,8 @@ TEST(ParallelDeterminism, SnapshotRoundTripStudyIsBitwiseIdentical) {
 TEST(ParallelDeterminism, SnapshotRoundTripAggregatesTestScale) {
   const auto config = synth::ScenarioConfig::test_scale();
   expect_identical_across_thread_counts([&] {
-    return round_trip_aggregates(config, snapshot_path("test_scale.snapshot"));
+    return round_trip_aggregates(config,
+                                 test::temp_path("test_scale.snapshot"));
   });
 }
 
@@ -103,7 +100,7 @@ TEST(ParallelDeterminism, SnapshotRoundTripAggregatesExampleScale) {
   config.country.commune_count = 600;
   expect_identical_across_thread_counts([&] {
     return round_trip_aggregates(config,
-                                 snapshot_path("example_scale.snapshot"));
+                                 test::temp_path("example_scale.snapshot"));
   });
 }
 

@@ -13,7 +13,9 @@
 
 #include "core/dataset.hpp"
 #include "io/format.hpp"
+#include "io/snapshot.hpp"
 #include "io/snapshot_reader.hpp"
+#include "io/snapshot_writer.hpp"
 #include "query/engine.hpp"
 #include "query/follower.hpp"
 #include "query/plan.hpp"
@@ -21,15 +23,12 @@
 #include "query/snapshot_view.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::query {
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path temp_file(const std::string& name) {
-  return fs::temp_directory_path() / ("appscope_query_" + name);
-}
 
 synth::ScenarioConfig small_config(std::uint64_t seed = 0) {
   auto cfg = synth::ScenarioConfig::test_scale();
@@ -39,19 +38,17 @@ synth::ScenarioConfig small_config(std::uint64_t seed = 0) {
   return cfg;
 }
 
-/// The base dataset and its sealed snapshot, generated once per process.
+/// The base dataset, generated once per process, and its sealed snapshot,
+/// saved once per test.
 const core::TrafficDataset& base_dataset() {
   static const core::TrafficDataset dataset =
       core::TrafficDataset::generate(small_config());
   return dataset;
 }
 
-const std::string& base_snapshot() {
-  static const std::string path = [] {
-    const std::string p = temp_file("base.snapshot").string();
-    base_dataset().save(p);
-    return p;
-  }();
+std::string base_snapshot() {
+  const std::string path = test::temp_path("base.snapshot").string();
+  if (!fs::exists(path)) base_dataset().save(path);
   return path;
 }
 
@@ -114,7 +111,7 @@ TEST(SnapshotView, FingerprintIdentifiesTheSnapshot) {
   const SnapshotView b(base_snapshot());
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
 
-  const std::string other = temp_file("other_seed.snapshot").string();
+  const std::string other = test::temp_path("other_seed.snapshot").string();
   core::TrafficDataset::generate(small_config(991)).save(other);
   const SnapshotView c(other);
   EXPECT_NE(a.fingerprint(), c.fingerprint());
@@ -458,7 +455,7 @@ TEST(QueryCache, LeastRecentlyUsedEntryIsEvicted) {
 }
 
 TEST(QueryCache, KeyIncludesSnapshotFingerprint) {
-  const std::string other = temp_file("cache_other.snapshot").string();
+  const std::string other = test::temp_path("cache_other.snapshot").string();
   core::TrafficDataset::generate(small_config(1234)).save(other);
   const SnapshotView a(base_snapshot());
   const SnapshotView b(other);
@@ -484,7 +481,7 @@ TEST(QueryCorruption, CorruptSectionOnlyFailsQueriesTouchingIt) {
   }
   ASSERT_GT(commune_offset, 0u);
 
-  const std::string path = temp_file("corrupt_section.snapshot").string();
+  const std::string path = test::temp_path("corrupt_section.snapshot").string();
   fs::copy_file(base_snapshot(), path, fs::copy_options::overwrite_existing);
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
@@ -519,7 +516,7 @@ TEST(QueryCorruption, CorruptSectionOnlyFailsQueriesTouchingIt) {
 // --- Follower: refresh-on-publish -------------------------------------------
 
 TEST(QueryFollower, RefreshReloadsOnlyWhenThePublishedFileChanges) {
-  const fs::path dir = temp_file("follow_dir");
+  const fs::path dir = test::temp_path("follow_dir");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string latest = (dir / "latest.snapshot").string();
@@ -532,10 +529,10 @@ TEST(QueryFollower, RefreshReloadsOnlyWhenThePublishedFileChanges) {
   EXPECT_EQ(follower.refresh(), v1);  // unchanged publish point: same view
   EXPECT_EQ(follower.reloads(), 1u);
 
-  // Publish a new epoch the way the daemon does: write + atomic rename.
-  const std::string staging = (dir / "epoch_next.tmp").string();
-  core::TrafficDataset::generate(small_config(777)).save(staging);
-  fs::rename(staging, latest);
+  // Publish a new epoch the way the daemon does: save + publish_latest.
+  const std::string next = (dir / io::epoch_filename(1)).string();
+  core::TrafficDataset::generate(small_config(777)).save(next);
+  io::publish_latest(dir.string(), next);
 
   const auto v2 = follower.refresh();
   EXPECT_EQ(follower.reloads(), 2u);
@@ -546,7 +543,7 @@ TEST(QueryFollower, RefreshReloadsOnlyWhenThePublishedFileChanges) {
 }
 
 TEST(QueryFollower, EmptyDirectoryThrowsInputError) {
-  const fs::path dir = temp_file("follow_empty");
+  const fs::path dir = test::temp_path("follow_empty");
   fs::remove_all(dir);
   fs::create_directories(dir);
   Follower follower(dir.string());

@@ -22,17 +22,12 @@
 #include "region/report.hpp"
 #include "region/spec.hpp"
 #include "util/error.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::region {
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_region_" + name);
-  fs::remove_all(dir);
-  return dir;
-}
 
 std::string file_bytes(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -119,7 +114,7 @@ TEST(RegionSpec, SetConstructionRejectsBadIds) {
 // --- Orchestrator ------------------------------------------------------------
 
 TEST(RegionOrchestrator, PublishesRegionKeyedLayoutAndReuses) {
-  const fs::path root = temp_dir("orchestrate");
+  const fs::path root = test::temp_path("orchestrate");
   const RegionSet set = RegionSet::metro_areas(3, RegionScale::kTiny);
 
   OrchestratorOptions options;
@@ -133,6 +128,16 @@ TEST(RegionOrchestrator, PublishesRegionKeyedLayoutAndReuses) {
     EXPECT_FALSE(run.reused);
     EXPECT_TRUE(fs::is_regular_file(root / run.id / "epoch_000000.snapshot"));
     EXPECT_TRUE(fs::is_regular_file(root / run.id / "latest.snapshot"));
+    // latest.snapshot is a second name of the epoch, not a copy, and the
+    // publish path leaves no temp file behind.
+    EXPECT_TRUE(fs::equivalent(root / run.id / "latest.snapshot",
+                               run.snapshot_path));
+    EXPECT_EQ(fs::hard_link_count(root / run.id / "latest.snapshot"), 2u);
+    for (const auto& entry : fs::directory_iterator(root / run.id)) {
+      EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+                std::string::npos)
+          << entry.path();
+    }
     // The published snapshot round-trips as this region's dataset.
     const core::TrafficDataset loaded =
         core::TrafficDataset::load(run.snapshot_path);
@@ -153,7 +158,7 @@ TEST(RegionOrchestrator, PublishesRegionKeyedLayoutAndReuses) {
 }
 
 TEST(RegionOrchestrator, RejectsForeignSnapshotsInRegionDirectory) {
-  const fs::path root = temp_dir("mismatch");
+  const fs::path root = test::temp_path("mismatch");
   RegionSet set = RegionSet::metro_areas(1, RegionScale::kTiny);
   OrchestratorOptions options;
   options.root = root.string();
@@ -181,7 +186,7 @@ struct MergedCampaign {
   std::string national_path;
 
   explicit MergedCampaign(const std::string& name, std::size_t regions) {
-    root = temp_dir(name);
+    root = test::temp_path(name);
     OrchestratorOptions options;
     options.root = root.string();
     orchestration =
@@ -195,6 +200,7 @@ struct MergedCampaign {
 TEST(RegionMerge, NationalViewIsConsistentWithItsParts) {
   MergedCampaign campaign("merge", 3);
   EXPECT_EQ(campaign.stats.regions, 3u);
+  EXPECT_EQ(campaign.stats.bytes, fs::file_size(campaign.national_path));
   EXPECT_EQ(campaign.stats.region_ids,
             (std::vector<std::string>{"lyon", "marseille", "paris"}));
 

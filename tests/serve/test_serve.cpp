@@ -16,6 +16,7 @@
 
 #include "core/dataset.hpp"
 #include "core/dataset_io.hpp"
+#include "io/snapshot.hpp"
 #include "net/event.hpp"
 #include "serve/aggregates.hpp"
 #include "serve/daemon.hpp"
@@ -27,6 +28,7 @@
 #include "util/error.hpp"
 #include "workload/catalog.hpp"
 #include "workload/population.hpp"
+#include "support/temp_dir.hpp"
 
 namespace appscope::serve {
 namespace {
@@ -38,12 +40,6 @@ synth::ScenarioConfig small_config() {
   cfg.country.commune_count = 60;
   cfg.country.metro_count = 2;
   return cfg;
-}
-
-fs::path temp_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("appscope_serve_" + name);
-  fs::remove_all(dir);
-  return dir;
 }
 
 // --- SpscQueue -------------------------------------------------------------
@@ -296,7 +292,7 @@ TEST(OnlineTrackers, PeakTrackerSkipsShortPrefixes) {
 // --- End-to-end daemon run -------------------------------------------------
 
 TEST(IngestDaemon, SealedSnapshotLoadsAndMatchesBatchDataset) {
-  const fs::path dir = temp_dir("daemon_e2e");
+  const fs::path dir = test::temp_path("daemon_e2e");
   ServeConfig config;
   config.scenario = small_config();
   config.shard_count = 3;
@@ -312,7 +308,16 @@ TEST(IngestDaemon, SealedSnapshotLoadsAndMatchesBatchDataset) {
 
   // Every sealed epoch is a complete, loadable snapshot.
   for (std::uint64_t epoch = 0; epoch < 7; ++epoch) {
-    EXPECT_TRUE(fs::exists(dir / EpochSealer::epoch_filename(epoch)));
+    EXPECT_TRUE(fs::exists(dir / io::epoch_filename(epoch)));
+  }
+  // latest.snapshot is a second name of the newest epoch, not a copy, and
+  // the publish path leaves no temp file behind.
+  EXPECT_TRUE(
+      fs::equivalent(stats.latest_snapshot, dir / io::epoch_filename(6)));
+  EXPECT_EQ(fs::hard_link_count(stats.latest_snapshot), 2u);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp"), std::string::npos)
+        << entry.path();
   }
 
   const core::TrafficDataset loaded =
@@ -333,7 +338,7 @@ TEST(IngestDaemon, SealedSnapshotLoadsAndMatchesBatchDataset) {
   }
 
   // find_latest_snapshot resolves the directory the daemon sealed into.
-  EXPECT_EQ(core::find_latest_snapshot(dir.string()), stats.latest_snapshot);
+  EXPECT_EQ(io::find_latest_snapshot(dir.string()), stats.latest_snapshot);
   const core::TrafficDataset via_dir = core::load_epoch_snapshot(dir.string());
   EXPECT_EQ(via_dir.direction_total(workload::Direction::kDownlink),
             loaded.direction_total(workload::Direction::kDownlink));
@@ -341,7 +346,7 @@ TEST(IngestDaemon, SealedSnapshotLoadsAndMatchesBatchDataset) {
 }
 
 TEST(IngestDaemon, StopFlagDrainsAndSealsPartialEpoch) {
-  const fs::path dir = temp_dir("daemon_stop");
+  const fs::path dir = test::temp_path("daemon_stop");
   std::atomic<bool> stop{true};  // raised before the run: stops immediately
   ServeConfig config;
   config.scenario = small_config();
@@ -365,7 +370,7 @@ TEST(IngestDaemon, StopFlagDrainsAndSealsPartialEpoch) {
 // --- Sealed-snapshot corruption (exercised under ASan/UBSan in CI) ---------
 
 TEST(SealedSnapshotCorruption, LoadRejectsBitFlips) {
-  const fs::path dir = temp_dir("daemon_corrupt");
+  const fs::path dir = test::temp_path("daemon_corrupt");
   ServeConfig config;
   config.scenario = small_config();
   config.shard_count = 2;
