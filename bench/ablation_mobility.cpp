@@ -2,6 +2,7 @@
 // the Fig. 11 urbanization metrics and the busy-hour geography with mobility
 // off (the paper-calibrated static model) and on (traffic follows people
 // into the metro cores during working hours).
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hpp"

@@ -259,9 +259,9 @@ void BM_MaterializedTensorAggregation(benchmark::State& state) {
    public:
     TensorSink(std::size_t services, std::size_t communes)
         : communes_(communes), data_(services * communes * 168, 0.0) {}
-    void consume(const synth::TrafficCell& cell) override {
-      data_[(cell.service * communes_ + cell.commune) * 168 + cell.week_hour] +=
-          cell.downlink_bytes;
+    void consume_row(const synth::TrafficRow& row) override {
+      double* slot = &data_[(row.service * communes_ + row.commune) * 168];
+      for (std::size_t h = 0; h < 168; ++h) slot[h] += row.downlink_bytes[h];
     }
     double aggregate_total() const {
       double total = 0.0;

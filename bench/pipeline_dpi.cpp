@@ -33,16 +33,18 @@ int main(int argc, char** argv) {
   net::SessionSimulator sim(territory, subscribers, catalog, cells, dpi, sim_cfg);
 
   std::vector<std::uint64_t> per_service_records(catalog.size(), 0);
-  std::uint64_t unclassified_records = 0;
-  std::vector<net::UsageRecord> records;
-  const net::SessionSimReport report = sim.run([&](const net::UsageRecord& r) {
-    records.push_back(r);
-    if (r.service) {
-      ++per_service_records[*r.service];
-    } else {
-      ++unclassified_records;
-    }
+  std::vector<net::ServiceEvent> events;
+  const net::SessionSimReport report = sim.run([&](const net::ServiceEvent& e) {
+    events.push_back(e);
+    ++per_service_records[e.service];
   });
+  // The probe emits classified traffic only; every other bearer-matched
+  // GTP-U record went unclassified.
+  std::uint64_t unclassified_records =
+      report.probe.gtpu_records - report.probe.orphan_records;
+  for (const std::uint64_t hits : report.probe.technique_hits) {
+    unclassified_records -= hits;
+  }
 
   std::cout << "cells deployed: " << cells.size() << " ("
             << territory.size() << " communes)\n";
@@ -75,13 +77,13 @@ int main(int argc, char** argv) {
   bench::print_expectation("orphan GTP-U records", "0",
                            std::to_string(report.probe.orphan_records));
 
-  // Validation: the dataset assembled from the probe's records must agree
+  // Validation: the dataset assembled from the probe's events must agree
   // with the analytic generator (the large-population limit of the same
   // workload model) on temporal shape and spatial structure.
   std::cout << "\n" << util::rule("pipeline vs analytic generator") << "\n";
   const core::TrafficDataset analytic = core::TrafficDataset::generate(config);
-  const core::TrafficDataset measured = core::TrafficDataset::from_usage_records(
-      config, territory, subscribers, catalog, records);
+  const core::TrafficDataset measured = core::TrafficDataset::from_events(
+      config, territory, subscribers, catalog, events);
   const core::DatasetComparison cmp = core::compare_datasets(
       analytic, measured, workload::Direction::kDownlink);
   bench::print_expectation("mean temporal r2 (per service)", "high",

@@ -9,6 +9,7 @@
 //
 // Run:  ./what_if_4g               (test scale)
 //       ./what_if_4g --scale=example
+#include <algorithm>
 #include <iostream>
 
 #include "core/spatial_analysis.hpp"

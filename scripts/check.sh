@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: lint, configure, build (warnings as errors), run every
-# test, every figure bench and every example. This is the CI entry point.
+# test (the examples included, as ctest tests labelled `smoke`) and every
+# figure bench. This is the CI entry point.
 #
 # Flags (combinable, any order):
 #   --lint     run only the source lints (no build) and exit: only src/io/
@@ -100,12 +101,6 @@ for b in "$BUILD_DIR"/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   echo "==== $b"
   APPSCOPE_SCALE=test "$b"
-done
-
-for e in "$BUILD_DIR"/examples/*; do
-  [ -f "$e" ] && [ -x "$e" ] || continue
-  echo "==== $e"
-  "$e" > /dev/null
 done
 
 # Observability check (--metrics): run one instrumented bench with

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "io/snapshot.hpp"
+#include "serve/aggregates.hpp"
 #include "util/error.hpp"
 
 namespace appscope::core {
@@ -27,11 +28,12 @@ TrafficDataset::TrafficDataset(
   }
 }
 
-void TrafficDataset::consume_stream(
-    const std::function<void(synth::TrafficSink&)>& producer) {
-  synth::FanoutSink fanout({national_.get(), commune_totals_.get(),
-                            urbanization_.get(), totals_.get()});
-  producer(fanout);
+void TrafficDataset::restore(const io::DatasetAggregates& aggregates) {
+  national_->restore(aggregates.national);
+  commune_totals_->restore(aggregates.commune_totals);
+  urbanization_->restore(aggregates.urbanization);
+  totals_->restore(aggregates.downlink_total, aggregates.uplink_total,
+                   aggregates.cells_consumed);
 }
 
 TrafficDataset TrafficDataset::generate(const synth::ScenarioConfig& config) {
@@ -40,7 +42,7 @@ TrafficDataset TrafficDataset::generate(const synth::ScenarioConfig& config) {
   auto subscribers = std::make_shared<const workload::SubscriberBase>(
       *territory, config.population);
   // The analytic path honors the scenario's regional popularity skew; the
-  // event-level path (from_usage_records) takes its catalog from the caller.
+  // event-level path (from_events) takes its catalog from the caller.
   auto catalog = std::make_shared<const workload::ServiceCatalog>(
       workload::with_popularity_tilt(workload::ServiceCatalog::paper_services(),
                                      config.popularity_tilt));
@@ -55,37 +57,37 @@ TrafficDataset TrafficDataset::generate(const synth::ScenarioConfig& config) {
                                            config.traffic_seed,
                                            config.temporal_noise_sigma,
                                            presence.get());
-  dataset.consume_stream(
-      [&generator](synth::TrafficSink& sink) { generator.generate(sink); });
+  synth::FanoutSink fanout({dataset.national_.get(),
+                            dataset.commune_totals_.get(),
+                            dataset.urbanization_.get(), dataset.totals_.get()});
+  generator.generate(fanout);
   return dataset;
 }
 
-TrafficDataset TrafficDataset::from_usage_records(
+TrafficDataset TrafficDataset::from_events(
     const synth::ScenarioConfig& config, const geo::Territory& territory,
     const workload::SubscriberBase& subscribers,
     const workload::ServiceCatalog& catalog,
-    const std::vector<net::UsageRecord>& records) {
+    std::span<const net::ServiceEvent> events) {
   // Copy the shared inputs into owned snapshots so the dataset is
   // self-contained like the generated variant.
-  auto territory_copy = std::make_shared<const geo::Territory>(territory);
-  auto subscribers_copy =
-      std::make_shared<const workload::SubscriberBase>(subscribers);
-  auto catalog_copy = std::make_shared<const workload::ServiceCatalog>(catalog);
-
-  TrafficDataset dataset(config, territory_copy, subscribers_copy, catalog_copy);
-  dataset.consume_stream([&](synth::TrafficSink& sink) {
-    for (const auto& r : records) {
-      if (!r.service) continue;  // unclassified traffic: not per-service data
-      synth::TrafficCell cell;
-      cell.service = *r.service;
-      cell.commune = r.commune;
-      cell.week_hour = r.week_hour;
-      cell.urbanization = territory.commune(r.commune).urbanization;
-      cell.downlink_bytes = static_cast<double>(r.downlink_bytes);
-      cell.uplink_bytes = static_cast<double>(r.uplink_bytes);
-      sink.consume(cell);
-    }
-  });
+  TrafficDataset dataset(
+      config, std::make_shared<const geo::Territory>(territory),
+      std::make_shared<const workload::SubscriberBase>(subscribers),
+      std::make_shared<const workload::ServiceCatalog>(catalog));
+  serve::EventAggregates aggregates(catalog.size(), territory.size());
+  for (const net::ServiceEvent& e : events) {
+    APPSCOPE_REQUIRE(e.service < catalog.size(),
+                     "TrafficDataset::from_events: service out of range");
+    APPSCOPE_REQUIRE(e.commune < territory.size(),
+                     "TrafficDataset::from_events: commune out of range");
+    APPSCOPE_REQUIRE(
+        e.urbanization ==
+            static_cast<std::uint8_t>(territory.commune(e.commune).urbanization),
+        "TrafficDataset::from_events: urbanization differs from the commune's");
+    aggregates.apply(e, 1);
+  }
+  dataset.restore(aggregates.to_dataset_aggregates(dataset.class_subscribers_));
   return dataset;
 }
 
@@ -123,12 +125,7 @@ TrafficDataset TrafficDataset::from_snapshot(io::LoadedSnapshot snap,
           "(corrupted or incompatible snapshot)");
     }
   }
-  dataset.national_->restore(snap.aggregates.national);
-  dataset.commune_totals_->restore(snap.aggregates.commune_totals);
-  dataset.urbanization_->restore(snap.aggregates.urbanization);
-  dataset.totals_->restore(snap.aggregates.downlink_total,
-                           snap.aggregates.uplink_total,
-                           snap.aggregates.cells_consumed);
+  dataset.restore(snap.aggregates);
   return dataset;
 }
 

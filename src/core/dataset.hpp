@@ -7,16 +7,16 @@
 //
 // A dataset is usually built by TrafficDataset::generate (streaming analytic
 // generation at any scale); it can also be assembled from the event-level
-// pipeline's usage records via TrafficDataset::from_usage_records.
+// pipeline's net::ServiceEvent stream via TrafficDataset::from_events.
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "geo/territory.hpp"
 #include "io/snapshot.hpp"
-#include "net/probe.hpp"
+#include "net/event.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
 #include "synth/sinks.hpp"
@@ -32,13 +32,15 @@ class TrafficDataset {
   static TrafficDataset generate(const synth::ScenarioConfig& config);
 
   /// Builds the aggregates from event-level probe output instead of the
-  /// analytic generator (records with unclassified service are dropped, as
-  /// in the paper's per-service analyses).
-  static TrafficDataset from_usage_records(
-      const synth::ScenarioConfig& config, const geo::Territory& territory,
-      const workload::SubscriberBase& subscribers,
-      const workload::ServiceCatalog& catalog,
-      const std::vector<net::UsageRecord>& records);
+  /// analytic generator, folding the events through the ingest daemon's
+  /// integer serve::EventAggregates (so the result does not depend on event
+  /// order). Throws util::PreconditionError on an event whose service or
+  /// commune is out of range, or whose urbanization is not its commune's.
+  static TrafficDataset from_events(const synth::ScenarioConfig& config,
+                                    const geo::Territory& territory,
+                                    const workload::SubscriberBase& subscribers,
+                                    const workload::ServiceCatalog& catalog,
+                                    std::span<const net::ServiceEvent> events);
 
   // --- Snapshots ------------------------------------------------------------
   /// Persists the dataset as one self-contained "appscope.snapshot/1" file
@@ -117,7 +119,8 @@ class TrafficDataset {
                  std::shared_ptr<const workload::SubscriberBase> subscribers,
                  std::shared_ptr<const workload::ServiceCatalog> catalog);
 
-  void consume_stream(const std::function<void(synth::TrafficSink&)>& producer);
+  /// Sets every aggregate from a decoded bundle (snapshot or event fold).
+  void restore(const io::DatasetAggregates& aggregates);
 
   synth::ScenarioConfig config_;
   std::shared_ptr<const geo::Territory> territory_;

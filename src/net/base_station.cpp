@@ -29,6 +29,7 @@ BaseStationRegistry::BaseStationRegistry(const geo::Territory& territory,
       BaseStation bs;
       bs.id = static_cast<CellId>(stations_.size());
       bs.commune = commune.id;
+      bs.urbanization = commune.urbanization;
       const bool lte = commune.has_4g && rng.bernoulli(config.lte_fraction);
       bs.rat = lte ? Rat::kLte4g : Rat::kUmts3g;
       by_commune_[commune.id].push_back(bs.id);

@@ -16,6 +16,8 @@ namespace appscope::net {
 struct BaseStation {
   CellId id = 0;
   geo::CommuneId commune = 0;
+  /// Urbanization class of the hosting commune (stamped on probe events).
+  geo::Urbanization urbanization = geo::Urbanization::kRural;
   Rat rat = Rat::kUmts3g;
 };
 

@@ -1,11 +1,11 @@
 // appscope/net/event.hpp
 //
-// The streaming ingest event: one service-classified volume report for one
-// commune, the unit the appscope_serve daemon aggregates at production
-// rates. Where net::UsageRecord is the *offline* probe output (optional
-// service, hour granularity), ServiceEvent is the *wire* shape — fixed-size,
-// always classified, second-granular timestamp — so a frame of events can be
-// encoded, shipped and replayed without any per-event allocation.
+// The one traffic event of the pipeline: one service-classified volume
+// report for one commune. net::Probe emits it for every classified GTP-U
+// record, the appscope_serve daemon aggregates it at production rates, and
+// core::TrafficDataset::from_events folds a captured stream of it. It is
+// fixed-size, always classified and second-granular, so a frame of events
+// can be encoded, shipped and replayed without any per-event allocation.
 //
 // Framing ("appscope.events/1"): a frame is a 24-byte header followed by
 // `count` fixed 28-byte little-endian records and protected by an FNV-1a-64

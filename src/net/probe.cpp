@@ -1,6 +1,6 @@
 #include "net/probe.hpp"
 
-#include "util/error.hpp"
+#include <algorithm>
 
 namespace appscope::net {
 
@@ -29,24 +29,24 @@ void Probe::on_gtpu(const GtpuRecord& record) {
     ++counters_.orphan_records;
     return;
   }
-  const UserLocationInfo& uli = it->second;
-
-  UsageRecord usage;
+  const Bytes volume = record.downlink_bytes + record.uplink_bytes;
   const auto match = dpi_.classify(record.fingerprint);
-  if (match) {
-    usage.service = match->service;
-    counters_.classified_bytes += record.downlink_bytes + record.uplink_bytes;
-    ++counters_.technique_hits[static_cast<std::size_t>(match->technique)];
-  } else {
-    counters_.unclassified_bytes += record.downlink_bytes + record.uplink_bytes;
+  if (!match) {
+    counters_.unclassified_bytes += volume;
+    return;
   }
-  usage.commune = cells_.commune_of(uli.cell);
-  usage.week_hour = std::min<std::size_t>(record.time / kSecondsPerHour, 167);
-  usage.downlink_bytes = record.downlink_bytes;
-  usage.uplink_bytes = record.uplink_bytes;
-  usage.rat = uli.rat;
+  counters_.classified_bytes += volume;
+  ++counters_.technique_hits[static_cast<std::size_t>(match->technique)];
 
-  if (sink_) sink_(usage);
+  const BaseStation& cell = cells_.station(it->second.cell);
+  ServiceEvent event;
+  event.timestamp = std::min<Timestamp>(record.time, kSecondsPerWeek - 1);
+  event.commune = cell.commune;
+  event.service = static_cast<std::uint16_t>(match->service);
+  event.urbanization = static_cast<std::uint8_t>(cell.urbanization);
+  event.downlink_bytes = record.downlink_bytes;
+  event.uplink_bytes = record.uplink_bytes;
+  if (sink_) sink_(event);
 }
 
 }  // namespace appscope::net

@@ -3,48 +3,39 @@
 // Passive measurement probe tapping the Gn / S5-S8 interfaces (paper Sec. 2):
 // it follows GTP-C to keep the last-known ULI of every bearer, inspects
 // GTP-U records, classifies them with DPI, geo-references them to the
-// commune of the ULI's cell, and emits commune-level usage records.
+// commune of the ULI's cell, and emits one net::ServiceEvent per classified
+// record — the same event the streaming ingest daemon aggregates.
 #pragma once
 
 #include <array>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 
 #include "net/base_station.hpp"
 #include "net/dpi.hpp"
+#include "net/event.hpp"
 #include "net/gtp.hpp"
 
 namespace appscope::net {
 
-/// One classified, geo-referenced traffic observation.
-struct UsageRecord {
-  /// Catalog service, or nullopt for the ~12% unclassified traffic.
-  std::optional<workload::ServiceIndex> service;
-  geo::CommuneId commune = 0;
-  /// Hour of the measurement week, [0, 168).
-  std::size_t week_hour = 0;
-  Bytes downlink_bytes = 0;
-  Bytes uplink_bytes = 0;
-  Rat rat = Rat::kUmts3g;
-};
-
 class Probe {
  public:
-  using Sink = std::function<void(const UsageRecord&)>;
+  using Sink = std::function<void(const ServiceEvent&)>;
 
   /// The probe needs the cell->commune mapping and the DPI engine; both must
   /// outlive it.
   Probe(const BaseStationRegistry& cells, const DpiEngine& dpi);
 
-  /// Registers the consumer of usage records (aggregation sinks).
+  /// Registers the consumer of classified events.
   void set_sink(Sink sink);
 
   /// Control-plane tap: create/refresh/delete bearer state and its ULI.
   void on_gtpc(const GtpcEvent& event);
 
-  /// User-plane tap: classify + geo-reference, then emit a UsageRecord.
-  /// Records of unknown bearers are counted as orphans and dropped (in a
+  /// User-plane tap: classify + geo-reference, then emit a ServiceEvent
+  /// stamped with min(record.time, kSecondsPerWeek - 1), so late records
+  /// fold into hour 167. Unclassified traffic (~12%) is only counted;
+  /// records of unknown bearers are counted as orphans and dropped (in a
   /// real deployment these are bearers created before the probe started).
   void on_gtpu(const GtpuRecord& record);
 

@@ -59,7 +59,7 @@ class SessionSimulator {
                    const BaseStationRegistry& cells, const DpiEngine& dpi,
                    SessionSimConfig config);
 
-  /// Simulates the full measurement week; every classified usage record the
+  /// Simulates the full measurement week; every classified event the
   /// probe emits is delivered to `sink`. Returns pipeline statistics.
   SessionSimReport run(const Probe::Sink& sink);
 

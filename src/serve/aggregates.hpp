@@ -11,9 +11,10 @@
 // thread count: unsigned integer addition is associative and commutative,
 // so the merge of per-shard partials is independent of shard assignment and
 // arrival interleaving, and the uint64 -> double conversion at seal time is
-// a pure function of the totals. (The batch pipeline's double-valued sinks
-// get the same guarantee from ordered replay instead; a live stream has no
-// single canonical order to replay, so the ingest plane sums integers.)
+// a pure function of the totals. (The analytic generator's double-valued
+// sinks get the same guarantee from ordered replay instead; a live stream
+// has no single canonical order to replay, so the ingest plane sums
+// integers — as does core::TrafficDataset::from_events for probe output.)
 #pragma once
 
 #include <array>

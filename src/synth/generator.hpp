@@ -2,10 +2,10 @@
 //
 // Streaming analytic traffic generator: evaluates the expected traffic of
 // every (service, commune, hour) cell directly from the workload model —
-// per-user rates × temporal shares × jitter — and streams the cells into
-// aggregation sinks. Statistically this is the large-population limit of
-// the event-level net::SessionSimulator (tests verify the two agree), but
-// it scales to the nationwide 36k-commune scenario in seconds.
+// per-user rates × temporal shares × jitter — and streams it as whole-week
+// rows into aggregation sinks. Statistically this is the large-population
+// limit of the event-level net::SessionSimulator (tests verify the two
+// agree), but it scales to the nationwide 36k-commune scenario in seconds.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +38,8 @@ class AnalyticGenerator {
   /// as the serial path always has) and stages its (service, commune) rows
   /// in a RowBufferSink; shards are replayed into `sink` in commune order
   /// via consume_row. The sink therefore sees the identical row sequence at
-  /// any thread count — and, through the default consume_row expansion, the
-  /// identical cell sequence — so outputs are bitwise equal to a
-  /// single-threaded run.
+  /// any thread count, so outputs are bitwise equal to a single-threaded
+  /// run.
   void generate(TrafficSink& sink) const;
 
   /// Expected (noise-free) weekly per-user volume of a service in a commune.

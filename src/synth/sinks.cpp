@@ -13,23 +13,6 @@ constexpr std::size_t dir_index(workload::Direction d) noexcept {
 }
 }  // namespace
 
-// --- TrafficSink ----------------------------------------------------------------
-
-void TrafficSink::consume_row(const TrafficRow& row) {
-  APPSCOPE_DCHECK(row.downlink_bytes.size() == row.uplink_bytes.size(),
-                  "TrafficSink: ragged row");
-  TrafficCell cell;
-  cell.service = row.service;
-  cell.commune = row.commune;
-  cell.urbanization = row.urbanization;
-  for (std::size_t h = 0; h < row.downlink_bytes.size(); ++h) {
-    cell.week_hour = h;
-    cell.downlink_bytes = row.downlink_bytes[h];
-    cell.uplink_bytes = row.uplink_bytes[h];
-    consume(cell);
-  }
-}
-
 // --- NationalSeriesSink -----------------------------------------------------
 
 NationalSeriesSink::NationalSeriesSink(std::size_t service_count)
@@ -38,13 +21,6 @@ NationalSeriesSink::NationalSeriesSink(std::size_t service_count)
   for (auto& per_service : data_) {
     for (auto& series : per_service) series.assign(ts::kHoursPerWeek, 0.0);
   }
-}
-
-void NationalSeriesSink::consume(const TrafficCell& cell) {
-  APPSCOPE_DCHECK(cell.service < services_ && cell.week_hour < ts::kHoursPerWeek,
-                  "NationalSeriesSink: cell out of range");
-  data_[cell.service][0][cell.week_hour] += cell.downlink_bytes;
-  data_[cell.service][1][cell.week_hour] += cell.uplink_bytes;
 }
 
 void NationalSeriesSink::consume_row(const TrafficRow& row) {
@@ -108,20 +84,12 @@ CommuneTotalsSink::CommuneTotalsSink(std::size_t service_count,
   for (auto& plane : data_) plane.assign(service_count * commune_count, 0.0);
 }
 
-void CommuneTotalsSink::consume(const TrafficCell& cell) {
-  APPSCOPE_DCHECK(cell.service < services_ && cell.commune < communes_,
-                  "CommuneTotalsSink: cell out of range");
-  const std::size_t i = cell.service * communes_ + cell.commune;
-  data_[0][i] += cell.downlink_bytes;
-  data_[1][i] += cell.uplink_bytes;
-}
-
 void CommuneTotalsSink::consume_row(const TrafficRow& row) {
   APPSCOPE_DCHECK(row.service < services_ && row.commune < communes_,
                   "CommuneTotalsSink: row out of range");
   const std::size_t i = row.service * communes_ + row.commune;
   // Sequential reductions into a single total: scalar, hour-ascending,
-  // exactly the adds the cell path performs.
+  // exactly the adds a per-hour fold performs.
   double dl = data_[0][i];
   for (const double v : row.downlink_bytes) dl += v;
   data_[0][i] = dl;
@@ -181,14 +149,6 @@ UrbanizationSeriesSink::UrbanizationSeriesSink(std::size_t service_count)
   }
 }
 
-void UrbanizationSeriesSink::consume(const TrafficCell& cell) {
-  APPSCOPE_DCHECK(cell.service < services_ && cell.week_hour < ts::kHoursPerWeek,
-                  "UrbanizationSeriesSink: cell out of range");
-  auto& per_class = data_[cell.service][static_cast<std::size_t>(cell.urbanization)];
-  per_class[0][cell.week_hour] += cell.downlink_bytes;
-  per_class[1][cell.week_hour] += cell.uplink_bytes;
-}
-
 void UrbanizationSeriesSink::consume_row(const TrafficRow& row) {
   APPSCOPE_DCHECK(row.service < services_ &&
                       row.downlink_bytes.size() == ts::kHoursPerWeek &&
@@ -242,12 +202,6 @@ void UrbanizationSeriesSink::restore(std::span<const double> flat) {
 
 // --- TotalsSink ------------------------------------------------------------------
 
-void TotalsSink::consume(const TrafficCell& cell) {
-  downlink_ += cell.downlink_bytes;
-  uplink_ += cell.uplink_bytes;
-  ++cells_;
-}
-
 void TotalsSink::consume_row(const TrafficRow& row) {
   double dl = downlink_;
   for (const double v : row.downlink_bytes) dl += v;
@@ -265,17 +219,7 @@ void TotalsSink::restore(double downlink, double uplink,
   cells_ = cells;
 }
 
-// --- BufferSink ------------------------------------------------------------------
-
-void BufferSink::replay_into(TrafficSink& sink) const {
-  for (const TrafficCell& cell : cells_) sink.consume(cell);
-}
-
 // --- RowBufferSink ---------------------------------------------------------------
-
-void RowBufferSink::consume(const TrafficCell&) {
-  APPSCOPE_REQUIRE(false, "RowBufferSink: buffers rows, not cells");
-}
 
 void RowBufferSink::consume_row(const TrafficRow& row) {
   APPSCOPE_DCHECK(row.downlink_bytes.size() == ts::kHoursPerWeek &&
@@ -299,18 +243,17 @@ std::size_t RowBufferSink::buffered_bytes() const noexcept {
          (downlink_.size() + uplink_.size()) * sizeof(double);
 }
 
+TrafficRow RowBufferSink::row(std::size_t r) const {
+  APPSCOPE_REQUIRE(r < headers_.size(), "RowBufferSink: row out of range");
+  const Header& h = headers_[r];
+  const std::size_t base = r * ts::kHoursPerWeek;
+  return {h.service, h.commune, h.urbanization,
+          {downlink_.data() + base, ts::kHoursPerWeek},
+          {uplink_.data() + base, ts::kHoursPerWeek}};
+}
+
 void RowBufferSink::replay_into(TrafficSink& sink) const {
-  TrafficRow row;
-  for (std::size_t r = 0; r < headers_.size(); ++r) {
-    const Header& h = headers_[r];
-    row.service = h.service;
-    row.commune = h.commune;
-    row.urbanization = h.urbanization;
-    const std::size_t base = r * ts::kHoursPerWeek;
-    row.downlink_bytes = {downlink_.data() + base, ts::kHoursPerWeek};
-    row.uplink_bytes = {uplink_.data() + base, ts::kHoursPerWeek};
-    sink.consume_row(row);
-  }
+  for (std::size_t r = 0; r < headers_.size(); ++r) sink.consume_row(row(r));
 }
 
 void RowBufferSink::clear() noexcept {
@@ -325,10 +268,6 @@ FanoutSink::FanoutSink(std::vector<TrafficSink*> sinks) : sinks_(std::move(sinks
   for (TrafficSink* s : sinks_) {
     APPSCOPE_REQUIRE(s != nullptr, "FanoutSink: null sink");
   }
-}
-
-void FanoutSink::consume(const TrafficCell& cell) {
-  for (TrafficSink* s : sinks_) s->consume(cell);
 }
 
 void FanoutSink::consume_row(const TrafficRow& row) {

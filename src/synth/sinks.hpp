@@ -1,9 +1,10 @@
 // appscope/synth/sinks.hpp
 //
 // Streaming aggregation sinks. The full-scale scenario evaluates
-// 36k communes × 20 services × 168 hours × 2 directions of traffic cells;
-// sinks fold that stream into exactly the aggregates the paper's analyses
-// need, so memory stays O(aggregates) instead of O(tensor).
+// 36k communes × 20 services × 168 hours × 2 directions of traffic; the
+// analytic generator streams it as whole-week rows and sinks fold that
+// stream into exactly the aggregates the paper's analyses need, so memory
+// stays O(aggregates) instead of O(tensor).
 #pragma once
 
 #include <array>
@@ -18,22 +19,11 @@
 
 namespace appscope::synth {
 
-/// One generated traffic cell: volume of a service in a commune over one
-/// hour, split by direction.
-struct TrafficCell {
-  workload::ServiceIndex service = 0;
-  geo::CommuneId commune = 0;
-  std::size_t week_hour = 0;
-  geo::Urbanization urbanization = geo::Urbanization::kRural;
-  double downlink_bytes = 0.0;
-  double uplink_bytes = 0.0;
-};
-
 /// One generated traffic row: a full week of one service in one commune,
 /// both directions. The analytic generator emits rows (its hot loop fills
 /// the two hourly arrays with one SIMD-dispatched product each) and the
-/// aggregation sinks fold whole rows at a time; `consume(cell)` remains for
-/// cell-granular producers such as the event-level simulator.
+/// aggregation sinks fold whole rows at a time. (Event-level probe output is
+/// a net::ServiceEvent stream and folds through serve::EventAggregates.)
 struct TrafficRow {
   workload::ServiceIndex service = 0;
   geo::CommuneId commune = 0;
@@ -47,24 +37,17 @@ struct TrafficRow {
 class TrafficSink {
  public:
   virtual ~TrafficSink() = default;
-  virtual void consume(const TrafficCell& cell) = 0;
-
-  /// Consumes a whole-week row. The default expands the row into per-hour
-  /// cells and feeds them to consume() in hour order, so sinks that only
-  /// implement the cell interface observe exactly the stream the cell-level
-  /// generator produced; the aggregate sinks override this with row-at-a-
-  /// time folds that accumulate the same bits without the per-cell virtual
-  /// dispatch.
-  virtual void consume_row(const TrafficRow& row);
+  /// Consumes a whole-week row. The aggregate sinks fold it with the same
+  /// bits as a per-hour, hour-ascending scalar fold of its values.
+  virtual void consume_row(const TrafficRow& row) = 0;
 };
 
 /// Nationwide hourly series per service and direction (Figs. 4-7).
 class NationalSeriesSink final : public TrafficSink {
  public:
   explicit NationalSeriesSink(std::size_t service_count);
-  void consume(const TrafficCell& cell) override;
   /// Row fold: each hour is a distinct accumulator, so the elementwise
-  /// accumulate kernel reproduces the per-cell bits exactly.
+  /// accumulate kernel reproduces the per-hour scalar bits exactly.
   void consume_row(const TrafficRow& row) override;
 
   /// Weekly series of one service in one direction.
@@ -90,10 +73,9 @@ class NationalSeriesSink final : public TrafficSink {
 class CommuneTotalsSink final : public TrafficSink {
  public:
   CommuneTotalsSink(std::size_t service_count, std::size_t commune_count);
-  void consume(const TrafficCell& cell) override;
   /// Row fold: all 168 hours of a row land in the same two totals, so the
   /// adds stay scalar and hour-ascending to keep the accumulation order —
-  /// and with it the bits — of the cell path.
+  /// and with it the bits — of a per-hour fold.
   void consume_row(const TrafficRow& row) override;
 
   double total(workload::ServiceIndex service, geo::CommuneId commune,
@@ -120,7 +102,6 @@ class CommuneTotalsSink final : public TrafficSink {
 class UrbanizationSeriesSink final : public TrafficSink {
  public:
   explicit UrbanizationSeriesSink(std::size_t service_count);
-  void consume(const TrafficCell& cell) override;
   /// Row fold via the accumulate kernel (one accumulator per hour).
   void consume_row(const TrafficRow& row) override;
 
@@ -144,9 +125,9 @@ class UrbanizationSeriesSink final : public TrafficSink {
 /// "uplink < 1/20 of total load").
 class TotalsSink final : public TrafficSink {
  public:
-  void consume(const TrafficCell& cell) override;
   /// Row fold: scalar hour-ascending adds into the two running totals
-  /// (sequential reduction — must match the cell path's order exactly).
+  /// (sequential reduction — must match a per-hour fold's order exactly).
+  /// Every row counts as ts::kHoursPerWeek consumed cells.
   void consume_row(const TrafficRow& row) override;
 
   double downlink() const noexcept { return downlink_; }
@@ -163,27 +144,6 @@ class TotalsSink final : public TrafficSink {
   std::uint64_t cells_ = 0;
 };
 
-/// Buffers cells verbatim for deferred replay (tests and cell-granular
-/// producers; the parallel generator stages rows in a RowBufferSink
-/// instead). Rows arriving through the default consume_row expansion are
-/// buffered as their per-hour cells.
-class BufferSink final : public TrafficSink {
- public:
-  void consume(const TrafficCell& cell) override { cells_.push_back(cell); }
-
-  void reserve(std::size_t cells) { cells_.reserve(cells); }
-  std::size_t size() const noexcept { return cells_.size(); }
-  const std::vector<TrafficCell>& cells() const noexcept { return cells_; }
-
-  /// Feeds every buffered cell into `sink`, in insertion order.
-  void replay_into(TrafficSink& sink) const;
-
-  void clear() noexcept { cells_.clear(); }
-
- private:
-  std::vector<TrafficCell> cells_;
-};
-
 /// Buffers whole rows for deferred replay. This is the thread-local staging
 /// area of the parallel generator: each worker streams its commune shard's
 /// rows into a private RowBufferSink (headers plus two flat cache-line-
@@ -193,13 +153,13 @@ class BufferSink final : public TrafficSink {
 /// would have produced.
 class RowBufferSink final : public TrafficSink {
  public:
-  /// Row-only staging: the generator never produces loose cells
-  /// (PreconditionError if called).
-  void consume(const TrafficCell& cell) override;
   void consume_row(const TrafficRow& row) override;
 
   void reserve(std::size_t rows);
   std::size_t row_count() const noexcept { return headers_.size(); }
+  /// Buffered row `r` (r < row_count()); its spans point into this buffer
+  /// and stay valid until the buffer next changes.
+  TrafficRow row(std::size_t r) const;
   /// Bytes currently held by the row buffers (headers + hourly planes).
   std::size_t buffered_bytes() const noexcept;
 
@@ -220,11 +180,10 @@ class RowBufferSink final : public TrafficSink {
   la::AlignedVector<double> uplink_;
 };
 
-/// Broadcasts each cell (or row) to several sinks (non-owning).
+/// Broadcasts each row to several sinks (non-owning).
 class FanoutSink final : public TrafficSink {
  public:
   explicit FanoutSink(std::vector<TrafficSink*> sinks);
-  void consume(const TrafficCell& cell) override;
   void consume_row(const TrafficRow& row) override;
 
  private:

@@ -65,10 +65,10 @@ TEST(CompareDatasets, EventPipelineMatchesAnalyticGenerator) {
   sim_cfg.uli_error_probability = 0.0;
   sim_cfg.seed = config.traffic_seed;
   net::SessionSimulator sim(territory, subscribers, catalog, cells, dpi, sim_cfg);
-  std::vector<net::UsageRecord> records;
-  sim.run([&records](const net::UsageRecord& r) { records.push_back(r); });
-  const TrafficDataset event = TrafficDataset::from_usage_records(
-      config, territory, subscribers, catalog, records);
+  std::vector<net::ServiceEvent> events;
+  sim.run([&events](const net::ServiceEvent& e) { events.push_back(e); });
+  const TrafficDataset event = TrafficDataset::from_events(
+      config, territory, subscribers, catalog, events);
 
   const DatasetComparison cmp =
       compare_datasets(analytic, event, workload::Direction::kDownlink);

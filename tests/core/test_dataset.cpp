@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <string>
+
 #include "net/simulator.hpp"
+#include "support/temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace appscope::core {
@@ -88,40 +96,118 @@ TEST(TrafficDataset, PerUserUrbanizationSeriesScales) {
   }
 }
 
-TEST(TrafficDataset, FromUsageRecordsBuildsCoherentDataset) {
-  const synth::ScenarioConfig config = [] {
+/// A small territory and one probe-observed week of its events.
+struct EventWeek {
+  synth::ScenarioConfig config = [] {
     auto cfg = synth::ScenarioConfig::test_scale();
     cfg.country.commune_count = 80;
     cfg.country.metro_count = 2;
     return cfg;
   }();
-  const geo::Territory territory = geo::build_synthetic_country(config.country);
-  const workload::SubscriberBase subscribers(territory, config.population);
-  const workload::ServiceCatalog catalog =
-      workload::ServiceCatalog::paper_services();
-  net::BaseStationRegistry cells(territory, {});
-  net::DpiEngine dpi(catalog);
-  net::SessionSimConfig sim_cfg;
-  sim_cfg.session_thinning = 0.01;
-  net::SessionSimulator sim(territory, subscribers, catalog, cells, dpi, sim_cfg);
+  geo::Territory territory = geo::build_synthetic_country(config.country);
+  workload::SubscriberBase subscribers{territory, config.population};
+  workload::ServiceCatalog catalog = workload::ServiceCatalog::paper_services();
+  std::vector<net::ServiceEvent> events;
+  net::SessionSimReport report;
 
-  std::vector<net::UsageRecord> records;
-  sim.run([&records](const net::UsageRecord& r) { records.push_back(r); });
-  ASSERT_FALSE(records.empty());
+  EventWeek() {
+    const net::BaseStationRegistry cells(territory, {});
+    const net::DpiEngine dpi(catalog);
+    net::SessionSimConfig sim_cfg;
+    sim_cfg.session_thinning = 0.01;
+    net::SessionSimulator sim(territory, subscribers, catalog, cells, dpi,
+                              sim_cfg);
+    report = sim.run(
+        [this](const net::ServiceEvent& e) { events.push_back(e); });
+  }
 
-  const TrafficDataset d = TrafficDataset::from_usage_records(
-      config, territory, subscribers, catalog, records);
+  TrafficDataset dataset(std::span<const net::ServiceEvent> in) const {
+    return TrafficDataset::from_events(config, territory, subscribers, catalog,
+                                       in);
+  }
+};
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(TrafficDataset, FromEventsBuildsCoherentDataset) {
+  const EventWeek week;
+  ASSERT_FALSE(week.events.empty());
+
+  const TrafficDataset d = week.dataset(week.events);
   EXPECT_NO_THROW(d.validate());
   EXPECT_GT(d.direction_total(workload::Direction::kDownlink), 0.0);
-  // Unclassified records were dropped: dataset volume < probe volume.
-  double total_records = 0.0;
-  for (const auto& r : records) {
-    total_records +=
-        static_cast<double>(r.downlink_bytes + r.uplink_bytes);
-  }
-  EXPECT_LT(d.direction_total(workload::Direction::kDownlink) +
-                d.direction_total(workload::Direction::kUplink),
-            total_records);
+  // The probe emits classified traffic only: the dataset holds exactly the
+  // classified volume, less than everything the probe observed.
+  const double dataset_volume = d.direction_total(workload::Direction::kDownlink) +
+                                d.direction_total(workload::Direction::kUplink);
+  EXPECT_EQ(dataset_volume,
+            static_cast<double>(week.report.probe.classified_bytes));
+  EXPECT_LT(dataset_volume,
+            static_cast<double>(week.report.probe.classified_bytes +
+                                week.report.probe.unclassified_bytes));
+}
+
+TEST(TrafficDataset, FromEventsIsOrderIndependent) {
+  const EventWeek week;
+  ASSERT_GT(week.events.size(), 2u);
+
+  std::vector<net::ServiceEvent> shuffled = week.events;
+  std::mt19937_64 rng(17);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  // The two halves of the stream, rejoined second half first.
+  std::vector<net::ServiceEvent> rejoined = week.events;
+  std::rotate(rejoined.begin(), rejoined.begin() + rejoined.size() / 2,
+              rejoined.end());
+
+  const auto original = test::temp_path("original.snapshot");
+  const auto from_shuffled = test::temp_path("shuffled.snapshot");
+  const auto from_rejoined = test::temp_path("rejoined.snapshot");
+  week.dataset(week.events).save(original.string());
+  week.dataset(shuffled).save(from_shuffled.string());
+  week.dataset(rejoined).save(from_rejoined.string());
+
+  const std::string expected = file_bytes(original);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_TRUE(file_bytes(from_shuffled) == expected);
+  EXPECT_TRUE(file_bytes(from_rejoined) == expected);
+}
+
+/// One valid event of commune 0; each rejection test breaks one field.
+net::ServiceEvent valid_event(const EventWeek& week) {
+  net::ServiceEvent e;
+  e.urbanization =
+      static_cast<std::uint8_t>(week.territory.commune(0).urbanization);
+  e.downlink_bytes = 10;
+  return e;
+}
+
+TEST(TrafficDataset, FromEventsRejectsOutOfRangeService) {
+  const EventWeek week;
+  net::ServiceEvent e = valid_event(week);
+  EXPECT_NO_THROW(week.dataset({&e, 1}));
+  e.service = static_cast<std::uint16_t>(week.catalog.size());
+  EXPECT_THROW(week.dataset({&e, 1}), util::PreconditionError);
+}
+
+TEST(TrafficDataset, FromEventsRejectsOutOfRangeCommune) {
+  const EventWeek week;
+  net::ServiceEvent e = valid_event(week);
+  e.commune = static_cast<geo::CommuneId>(week.territory.size());
+  EXPECT_THROW(week.dataset({&e, 1}), util::PreconditionError);
+}
+
+TEST(TrafficDataset, FromEventsRejectsUrbanizationOtherThanTheCommunes) {
+  const EventWeek week;
+  net::ServiceEvent e = valid_event(week);
+  e.urbanization = static_cast<std::uint8_t>((e.urbanization + 1) %
+                                             geo::kUrbanizationCount);
+  EXPECT_THROW(week.dataset({&e, 1}), util::PreconditionError);
 }
 
 }  // namespace

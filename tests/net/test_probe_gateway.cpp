@@ -32,8 +32,8 @@ class ProbeGatewayTest : public ::testing::Test {
 
 TEST_F(ProbeGatewayTest, SessionLifecycleProducesGeoreferencedRecord) {
   Probe probe(cells_, dpi_);
-  std::vector<UsageRecord> records;
-  probe.set_sink([&records](const UsageRecord& r) { records.push_back(r); });
+  std::vector<ServiceEvent> records;
+  probe.set_sink([&records](const ServiceEvent& e) { records.push_back(e); });
 
   Gateway gw(CoreInterface::kGn);
   gw.attach_probe(&probe);
@@ -45,18 +45,17 @@ TEST_F(ProbeGatewayTest, SessionLifecycleProducesGeoreferencedRecord) {
 
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].commune, 7u);
-  EXPECT_EQ(records[0].week_hour, 5u);
+  EXPECT_EQ(records[0].week_hour(), 5u);
   EXPECT_EQ(records[0].downlink_bytes, 1000u);
   EXPECT_EQ(records[0].uplink_bytes, 100u);
-  ASSERT_TRUE(records[0].service.has_value());
-  EXPECT_EQ(catalog_[*records[0].service].name, "YouTube");
+  EXPECT_EQ(catalog_[records[0].service].name, "YouTube");
   EXPECT_EQ(gw.active_sessions(), 0u);
 }
 
 TEST_F(ProbeGatewayTest, LocationUpdateMovesGeoreference) {
   Probe probe(cells_, dpi_);
-  std::vector<UsageRecord> records;
-  probe.set_sink([&records](const UsageRecord& r) { records.push_back(r); });
+  std::vector<ServiceEvent> records;
+  probe.set_sink([&records](const ServiceEvent& e) { records.push_back(e); });
   Gateway gw(CoreInterface::kS5S8);
   gw.attach_probe(&probe);
 
@@ -72,10 +71,10 @@ TEST_F(ProbeGatewayTest, LocationUpdateMovesGeoreference) {
   EXPECT_EQ(records[1].commune, 9u);
 }
 
-TEST_F(ProbeGatewayTest, UnclassifiedTrafficCountedButStillEmitted) {
+TEST_F(ProbeGatewayTest, UnclassifiedTrafficCountedNotEmitted) {
   Probe probe(cells_, dpi_);
-  std::vector<UsageRecord> records;
-  probe.set_sink([&records](const UsageRecord& r) { records.push_back(r); });
+  std::vector<ServiceEvent> records;
+  probe.set_sink([&records](const ServiceEvent& e) { records.push_back(e); });
   Gateway gw(CoreInterface::kGn);
   gw.attach_probe(&probe);
 
@@ -84,9 +83,9 @@ TEST_F(ProbeGatewayTest, UnclassifiedTrafficCountedButStillEmitted) {
   gw.transfer(sid, 20, 400, 40, "sni:youtube.com");
   gw.delete_session(sid, 30);
 
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_FALSE(records[0].service.has_value());
-  EXPECT_TRUE(records[1].service.has_value());
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(catalog_[records[0].service].name, "YouTube");
+  EXPECT_EQ(records[0].downlink_bytes, 400u);
   EXPECT_EQ(probe.counters().unclassified_bytes, 660u);
   EXPECT_EQ(probe.counters().classified_bytes, 440u);
   EXPECT_NEAR(probe.counters().classified_fraction(), 440.0 / 1100.0, 1e-12);
@@ -95,7 +94,7 @@ TEST_F(ProbeGatewayTest, UnclassifiedTrafficCountedButStillEmitted) {
 TEST_F(ProbeGatewayTest, OrphanRecordsAreDropped) {
   Probe probe(cells_, dpi_);
   std::size_t emitted = 0;
-  probe.set_sink([&emitted](const UsageRecord&) { ++emitted; });
+  probe.set_sink([&emitted](const ServiceEvent&) { ++emitted; });
 
   GtpuRecord orphan;
   orphan.session = 999;
@@ -128,8 +127,8 @@ TEST_F(ProbeGatewayTest, GatewayRejectsUnknownSessions) {
 TEST_F(ProbeGatewayTest, TwoGatewaysOneProbe) {
   // Co-located GGSN + P-GW observed by the same probe (Fig. 1).
   Probe probe(cells_, dpi_);
-  std::vector<UsageRecord> records;
-  probe.set_sink([&records](const UsageRecord& r) { records.push_back(r); });
+  std::vector<ServiceEvent> records;
+  probe.set_sink([&records](const ServiceEvent& e) { records.push_back(e); });
   Gateway ggsn(CoreInterface::kGn);
   Gateway pgw(CoreInterface::kS5S8);
   ggsn.attach_probe(&probe);
@@ -141,22 +140,23 @@ TEST_F(ProbeGatewayTest, TwoGatewaysOneProbe) {
   pgw.transfer(s4g, 10, 7, 2, "sni:mail.com");
 
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].rat, Rat::kUmts3g);
-  EXPECT_EQ(records[1].rat, Rat::kLte4g);
+  EXPECT_EQ(records[0].commune, 1u);
+  EXPECT_EQ(records[1].commune, 2u);
   EXPECT_EQ(probe.counters().gtpc_events, 2u);
 }
 
 TEST_F(ProbeGatewayTest, LateHoursClampTo167) {
   Probe probe(cells_, dpi_);
-  std::vector<UsageRecord> records;
-  probe.set_sink([&records](const UsageRecord& r) { records.push_back(r); });
+  std::vector<ServiceEvent> records;
+  probe.set_sink([&records](const ServiceEvent& e) { records.push_back(e); });
   Gateway gw(CoreInterface::kGn);
   gw.attach_probe(&probe);
   const SessionId sid =
       gw.create_session(1, kSecondsPerWeek - 1, {cell_in_commune(0), Rat::kUmts3g});
   gw.transfer(sid, kSecondsPerWeek + 100, 1, 0, "sni:news.com");
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].week_hour, 167u);
+  EXPECT_EQ(records[0].timestamp, kSecondsPerWeek - 1);
+  EXPECT_EQ(records[0].week_hour(), 167u);
 }
 
 }  // namespace

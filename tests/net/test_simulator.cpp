@@ -44,13 +44,17 @@ class SimulatorTest : public ::testing::Test {
 TEST_F(SimulatorTest, ProducesEventsAndRecords) {
   SessionSimulator sim(territory_, subscribers_, catalog_, cells_, dpi_,
                        thin_config());
-  std::vector<UsageRecord> records;
+  std::vector<ServiceEvent> records;
   const SessionSimReport report =
-      sim.run([&records](const UsageRecord& r) { records.push_back(r); });
+      sim.run([&records](const ServiceEvent& e) { records.push_back(e); });
 
   EXPECT_GT(report.sessions, 1000u);
   EXPECT_EQ(report.transfers, report.sessions);
-  EXPECT_EQ(records.size(), report.sessions);
+  // One event per classified transfer; the unclassified rest is counted only.
+  EXPECT_EQ(records.size(), report.probe.technique_hits[0] +
+                                report.probe.technique_hits[1] +
+                                report.probe.technique_hits[2]);
+  EXPECT_LT(records.size(), report.sessions);
   EXPECT_EQ(report.probe.gtpu_records, report.sessions);
   EXPECT_EQ(report.probe.orphan_records, 0u);
   EXPECT_GT(report.handovers, 0u);
@@ -59,7 +63,7 @@ TEST_F(SimulatorTest, ProducesEventsAndRecords) {
 TEST_F(SimulatorTest, ClassificationRateNearPaperValue) {
   SessionSimulator sim(territory_, subscribers_, catalog_, cells_, dpi_,
                        thin_config());
-  const SessionSimReport report = sim.run([](const UsageRecord&) {});
+  const SessionSimReport report = sim.run([](const ServiceEvent&) {});
   // Paper Sec. 2: the operator's DPI classifies ~88% of traffic.
   EXPECT_NEAR(report.probe.classified_fraction(), 0.88, 0.03);
 }
@@ -67,7 +71,7 @@ TEST_F(SimulatorTest, ClassificationRateNearPaperValue) {
 TEST_F(SimulatorTest, OfferedVolumeMatchesProbeObservation) {
   SessionSimulator sim(territory_, subscribers_, catalog_, cells_, dpi_,
                        thin_config());
-  const SessionSimReport report = sim.run([](const UsageRecord&) {});
+  const SessionSimReport report = sim.run([](const ServiceEvent&) {});
   EXPECT_EQ(report.probe.classified_bytes + report.probe.unclassified_bytes,
             report.offered_downlink + report.offered_uplink);
 }
@@ -75,7 +79,7 @@ TEST_F(SimulatorTest, OfferedVolumeMatchesProbeObservation) {
 TEST_F(SimulatorTest, UplinkMuchSmallerThanDownlink) {
   SessionSimulator sim(territory_, subscribers_, catalog_, cells_, dpi_,
                        thin_config());
-  const SessionSimReport report = sim.run([](const UsageRecord&) {});
+  const SessionSimReport report = sim.run([](const ServiceEvent&) {});
   const double ul_share =
       static_cast<double>(report.offered_uplink) /
       static_cast<double>(report.offered_downlink + report.offered_uplink);
@@ -85,11 +89,14 @@ TEST_F(SimulatorTest, UplinkMuchSmallerThanDownlink) {
 TEST_F(SimulatorTest, RecordsLandInValidCommunesAndHours) {
   SessionSimulator sim(territory_, subscribers_, catalog_, cells_, dpi_,
                        thin_config());
-  std::vector<UsageRecord> records;
-  sim.run([&records](const UsageRecord& r) { records.push_back(r); });
+  std::vector<ServiceEvent> records;
+  sim.run([&records](const ServiceEvent& e) { records.push_back(e); });
   for (const auto& r : records) {
     ASSERT_LT(r.commune, territory_.size());
-    ASSERT_LT(r.week_hour, 168u);
+    ASSERT_LT(r.week_hour(), 168u);
+    ASSERT_LT(r.service, catalog_.size());
+    ASSERT_EQ(r.urbanization, static_cast<std::uint8_t>(
+                                  territory_.commune(r.commune).urbanization));
   }
 }
 
@@ -98,8 +105,8 @@ TEST_F(SimulatorTest, DeterministicForSeed) {
                      thin_config());
   SessionSimulator b(territory_, subscribers_, catalog_, cells_, dpi_,
                      thin_config());
-  const SessionSimReport ra = a.run([](const UsageRecord&) {});
-  const SessionSimReport rb = b.run([](const UsageRecord&) {});
+  const SessionSimReport ra = a.run([](const ServiceEvent&) {});
+  const SessionSimReport rb = b.run([](const ServiceEvent&) {});
   EXPECT_EQ(ra.sessions, rb.sessions);
   EXPECT_EQ(ra.offered_downlink, rb.offered_downlink);
 }
@@ -108,8 +115,8 @@ TEST_F(SimulatorTest, NightHoursQuieterThanDay) {
   SessionSimulator sim(territory_, subscribers_, catalog_, cells_, dpi_,
                        thin_config());
   std::vector<std::uint64_t> by_hour(24, 0);
-  sim.run([&by_hour](const UsageRecord& r) {
-    by_hour[r.week_hour % 24] += r.downlink_bytes;
+  sim.run([&by_hour](const ServiceEvent& e) {
+    by_hour[e.week_hour() % 24] += e.downlink_bytes;
   });
   const auto night = by_hour[3] + by_hour[4];
   const auto day = by_hour[14] + by_hour[15];
@@ -128,8 +135,8 @@ TEST_F(SimulatorTest, UliErrorBlursCommuneAttribution) {
   auto per_commune = [this](const SessionSimConfig& cfg, Bytes& total) {
     SessionSimulator sim(territory_, subscribers_, catalog_, cells_, dpi_, cfg);
     std::vector<Bytes> volumes(territory_.size(), 0);
-    const SessionSimReport report = sim.run([&volumes](const UsageRecord& r) {
-      volumes[r.commune] += r.downlink_bytes;
+    const SessionSimReport report = sim.run([&volumes](const ServiceEvent& e) {
+      volumes[e.commune] += e.downlink_bytes;
     });
     total = report.offered_downlink;
     return volumes;

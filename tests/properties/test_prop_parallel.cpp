@@ -73,11 +73,11 @@ TEST(ParallelDeterminism, AnalyticGeneratorIsBitwiseIdentical) {
   expect_identical_across_thread_counts([&] {
     synth::NationalSeriesSink national(catalog.size());
     synth::CommuneTotalsSink communes(catalog.size(), territory.size());
-    synth::BufferSink cells;
-    synth::FanoutSink fan({&national, &communes, &cells});
+    synth::RowBufferSink rows;
+    synth::FanoutSink fan({&national, &communes, &rows});
     gen.generate(fan);
 
-    // Flatten everything the sinks observed, including the raw cell
+    // Flatten everything the sinks observed, including the raw row
     // stream order.
     std::vector<double> flat;
     for (std::size_t s = 0; s < catalog.size(); ++s) {
@@ -89,12 +89,14 @@ TEST(ParallelDeterminism, AnalyticGeneratorIsBitwiseIdentical) {
         flat.insert(flat.end(), totals.begin(), totals.end());
       }
     }
-    for (const auto& cell : cells.cells()) {
-      flat.push_back(static_cast<double>(cell.service));
-      flat.push_back(static_cast<double>(cell.commune));
-      flat.push_back(static_cast<double>(cell.week_hour));
-      flat.push_back(cell.downlink_bytes);
-      flat.push_back(cell.uplink_bytes);
+    for (std::size_t r = 0; r < rows.row_count(); ++r) {
+      const synth::TrafficRow row = rows.row(r);
+      flat.push_back(static_cast<double>(row.service));
+      flat.push_back(static_cast<double>(row.commune));
+      flat.push_back(static_cast<double>(row.urbanization));
+      flat.insert(flat.end(), row.downlink_bytes.begin(),
+                  row.downlink_bytes.end());
+      flat.insert(flat.end(), row.uplink_bytes.begin(), row.uplink_bytes.end());
     }
     return flat;
   });

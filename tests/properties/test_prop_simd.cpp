@@ -183,9 +183,9 @@ TEST(ParallelSimdParity, AnalyticGeneratorAggregates) {
 }
 
 TEST(ParallelSimdParity, RowPathMatchesCellPath) {
-  // The row-based generator fold must equal a cell-at-a-time replay of the
-  // very same stream: expand every row through the default consume_row into
-  // cell-level sinks and compare all aggregates bitwise.
+  // The row-based sink folds must equal a cell-at-a-time fold of the very
+  // same stream: a scalar oracle adds every row's hours one by one, hour-
+  // ascending, and all aggregates are compared bitwise.
   auto config = synth::ScenarioConfig::test_scale();
   config.country.commune_count = 80;
   const geo::Territory territory = geo::build_synthetic_country(config.country);
@@ -196,17 +196,27 @@ TEST(ParallelSimdParity, RowPathMatchesCellPath) {
                                      config.traffic_seed,
                                      config.temporal_noise_sigma);
 
-  // Adapter that strips the row overrides: forwards rows through the base
-  // expansion so the wrapped sinks only ever see cells.
-  class CellOnly final : public synth::TrafficSink {
+  // National series [service][direction][hour] and grand totals, one
+  // scalar += per (row, hour) in hour order.
+  class CellFold final : public synth::TrafficSink {
    public:
-    explicit CellOnly(synth::TrafficSink& inner) : inner_(inner) {}
-    void consume(const synth::TrafficCell& cell) override {
-      inner_.consume(cell);
+    explicit CellFold(std::size_t services)
+        : national(services * 2 * ts::kHoursPerWeek, 0.0) {}
+    void consume_row(const synth::TrafficRow& row) override {
+      double* dl = &national[row.service * 2 * ts::kHoursPerWeek];
+      double* ul = dl + ts::kHoursPerWeek;
+      for (std::size_t h = 0; h < ts::kHoursPerWeek; ++h) {
+        dl[h] += row.downlink_bytes[h];
+        ul[h] += row.uplink_bytes[h];
+        downlink += row.downlink_bytes[h];
+        uplink += row.uplink_bytes[h];
+        ++cells;
+      }
     }
-
-   private:
-    synth::TrafficSink& inner_;
+    std::vector<double> national;
+    double downlink = 0.0;
+    double uplink = 0.0;
+    std::uint64_t cells = 0;
   };
 
   synth::NationalSeriesSink row_national(catalog.size());
@@ -214,16 +224,13 @@ TEST(ParallelSimdParity, RowPathMatchesCellPath) {
   synth::FanoutSink row_fanout({&row_national, &row_totals});
   gen.generate(row_fanout);
 
-  synth::NationalSeriesSink cell_national(catalog.size());
-  synth::TotalsSink cell_totals;
-  synth::FanoutSink cell_fanout({&cell_national, &cell_totals});
-  CellOnly cells(cell_fanout);
+  CellFold cells(catalog.size());
   gen.generate(cells);
 
-  EXPECT_EQ(row_national.snapshot_data(), cell_national.snapshot_data());
-  EXPECT_EQ(row_totals.downlink(), cell_totals.downlink());
-  EXPECT_EQ(row_totals.uplink(), cell_totals.uplink());
-  EXPECT_EQ(row_totals.cells_consumed(), cell_totals.cells_consumed());
+  EXPECT_EQ(row_national.snapshot_data(), cells.national);
+  EXPECT_EQ(row_totals.downlink(), cells.downlink);
+  EXPECT_EQ(row_totals.uplink(), cells.uplink);
+  EXPECT_EQ(row_totals.cells_consumed(), cells.cells);
 }
 
 }  // namespace

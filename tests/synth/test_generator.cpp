@@ -126,23 +126,16 @@ TEST_F(GeneratorTest, AgreesWithEventLevelSimulatorOnNationalShape) {
   sim_cfg.seed = config_.traffic_seed;
   net::SessionSimulator sim(territory_, subscribers_, catalog_, cells, dpi,
                             sim_cfg);
-  NationalSeriesSink event(catalog_.size());
-  sim.run([&event, this](const net::UsageRecord& r) {
-    if (!r.service) return;
-    TrafficCell cell;
-    cell.service = *r.service;
-    cell.commune = r.commune;
-    cell.week_hour = r.week_hour;
-    cell.urbanization = territory_.commune(r.commune).urbanization;
-    cell.downlink_bytes = static_cast<double>(r.downlink_bytes);
-    cell.uplink_bytes = static_cast<double>(r.uplink_bytes);
-    event.consume(cell);
+  const auto yt = *catalog_.find("YouTube");
+  std::vector<double> event(ts::kHoursPerWeek, 0.0);
+  sim.run([&event, yt](const net::ServiceEvent& e) {
+    if (e.service == yt) {
+      event[e.week_hour()] += static_cast<double>(e.downlink_bytes);
+    }
   });
 
-  const auto yt = *catalog_.find("YouTube");
   const double r2 = stats::pearson_r2(
-      analytic.series(yt, workload::Direction::kDownlink),
-      event.series(yt, workload::Direction::kDownlink));
+      analytic.series(yt, workload::Direction::kDownlink), event);
   EXPECT_GT(r2, 0.8);
 
   // And total volumes agree within sampling error.
@@ -151,9 +144,7 @@ TEST_F(GeneratorTest, AgreesWithEventLevelSimulatorOnNationalShape) {
   for (const double v : analytic.series(yt, workload::Direction::kDownlink)) {
     analytic_total += v;
   }
-  for (const double v : event.series(yt, workload::Direction::kDownlink)) {
-    event_total += v;
-  }
+  for (const double v : event) event_total += v;
   EXPECT_NEAR(event_total / analytic_total, 1.0, 0.15);
 }
 

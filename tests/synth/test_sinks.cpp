@@ -7,23 +7,21 @@
 namespace appscope::synth {
 namespace {
 
-TrafficCell make_cell(workload::ServiceIndex s, geo::CommuneId c, std::size_t h,
-                      geo::Urbanization u, double dl, double ul) {
-  TrafficCell cell;
-  cell.service = s;
-  cell.commune = c;
-  cell.week_hour = h;
-  cell.urbanization = u;
-  cell.downlink_bytes = dl;
-  cell.uplink_bytes = ul;
-  return cell;
+/// Feeds `sink` one whole-week row whose only nonzero hour is `h`.
+void feed(TrafficSink& sink, workload::ServiceIndex s, geo::CommuneId c,
+          std::size_t h, geo::Urbanization u, double dl, double ul) {
+  std::vector<double> downlink(ts::kHoursPerWeek, 0.0);
+  std::vector<double> uplink(ts::kHoursPerWeek, 0.0);
+  downlink[h] = dl;
+  uplink[h] = ul;
+  sink.consume_row({s, c, u, downlink, uplink});
 }
 
 TEST(NationalSeriesSink, AccumulatesPerHour) {
   NationalSeriesSink sink(2);
-  sink.consume(make_cell(0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0));
-  sink.consume(make_cell(0, 2, 10, geo::Urbanization::kRural, 3.0, 0.5));
-  sink.consume(make_cell(1, 1, 20, geo::Urbanization::kUrban, 7.0, 2.0));
+  feed(sink, 0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0);
+  feed(sink, 0, 2, 10, geo::Urbanization::kRural, 3.0, 0.5);
+  feed(sink, 1, 1, 20, geo::Urbanization::kUrban, 7.0, 2.0);
 
   EXPECT_DOUBLE_EQ(sink.series(0, workload::Direction::kDownlink)[10], 8.0);
   EXPECT_DOUBLE_EQ(sink.series(0, workload::Direction::kUplink)[10], 1.5);
@@ -35,7 +33,7 @@ TEST(NationalSeriesSink, AccumulatesPerHour) {
 
 TEST(NationalSeriesSink, TimeSeriesConversion) {
   NationalSeriesSink sink(1);
-  sink.consume(make_cell(0, 0, 5, geo::Urbanization::kUrban, 2.0, 0.0));
+  feed(sink, 0, 0, 5, geo::Urbanization::kUrban, 2.0, 0.0);
   const ts::TimeSeries series =
       sink.time_series(0, workload::Direction::kDownlink, "svc");
   EXPECT_EQ(series.size(), ts::kHoursPerWeek);
@@ -45,8 +43,8 @@ TEST(NationalSeriesSink, TimeSeriesConversion) {
 
 TEST(CommuneTotalsSink, AccumulatesWeeklyTotals) {
   CommuneTotalsSink sink(2, 3);
-  sink.consume(make_cell(0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0));
-  sink.consume(make_cell(0, 1, 99, geo::Urbanization::kUrban, 2.0, 0.5));
+  feed(sink, 0, 1, 10, geo::Urbanization::kUrban, 5.0, 1.0);
+  feed(sink, 0, 1, 99, geo::Urbanization::kUrban, 2.0, 0.5);
   EXPECT_DOUBLE_EQ(sink.total(0, 1, workload::Direction::kDownlink), 7.0);
   EXPECT_DOUBLE_EQ(sink.total(0, 1, workload::Direction::kUplink), 1.5);
   EXPECT_DOUBLE_EQ(sink.total(0, 0, workload::Direction::kDownlink), 0.0);
@@ -61,8 +59,8 @@ TEST(CommuneTotalsSink, AccumulatesWeeklyTotals) {
 
 TEST(UrbanizationSeriesSink, SplitsByClass) {
   UrbanizationSeriesSink sink(1);
-  sink.consume(make_cell(0, 0, 7, geo::Urbanization::kUrban, 4.0, 0.4));
-  sink.consume(make_cell(0, 1, 7, geo::Urbanization::kTgv, 6.0, 0.6));
+  feed(sink, 0, 0, 7, geo::Urbanization::kUrban, 4.0, 0.4);
+  feed(sink, 0, 1, 7, geo::Urbanization::kTgv, 6.0, 0.6);
   EXPECT_DOUBLE_EQ(
       sink.series(0, geo::Urbanization::kUrban, workload::Direction::kDownlink)[7],
       4.0);
@@ -76,19 +74,19 @@ TEST(UrbanizationSeriesSink, SplitsByClass) {
 
 TEST(TotalsSink, GrandTotals) {
   TotalsSink sink;
-  sink.consume(make_cell(0, 0, 0, geo::Urbanization::kUrban, 10.0, 1.0));
-  sink.consume(make_cell(1, 5, 100, geo::Urbanization::kRural, 20.0, 2.0));
+  feed(sink, 0, 0, 0, geo::Urbanization::kUrban, 10.0, 1.0);
+  feed(sink, 1, 5, 100, geo::Urbanization::kRural, 20.0, 2.0);
   EXPECT_DOUBLE_EQ(sink.downlink(), 30.0);
   EXPECT_DOUBLE_EQ(sink.uplink(), 3.0);
   EXPECT_DOUBLE_EQ(sink.total(), 33.0);
-  EXPECT_EQ(sink.cells_consumed(), 2u);
+  EXPECT_EQ(sink.cells_consumed(), 2u * ts::kHoursPerWeek);
 }
 
 TEST(FanoutSink, BroadcastsToAll) {
   NationalSeriesSink a(1);
   TotalsSink b;
   FanoutSink fan({&a, &b});
-  fan.consume(make_cell(0, 0, 3, geo::Urbanization::kUrban, 9.0, 0.0));
+  feed(fan, 0, 0, 3, geo::Urbanization::kUrban, 9.0, 0.0);
   EXPECT_DOUBLE_EQ(a.series(0, workload::Direction::kDownlink)[3], 9.0);
   EXPECT_DOUBLE_EQ(b.downlink(), 9.0);
   EXPECT_THROW(FanoutSink({nullptr}), util::PreconditionError);
