@@ -20,6 +20,8 @@
 #include "query/engine.hpp"
 #include "query/snapshot_view.hpp"
 #include "la/aligned.hpp"
+#include "la/eigen.hpp"
+#include "la/matrix.hpp"
 #include "net/event.hpp"
 #include "region/merge.hpp"
 #include "region/orchestrator.hpp"
@@ -152,6 +154,31 @@ void BM_KShape(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KShape)->Arg(2)->Arg(5)->Arg(10);
+
+// k-Shape's shape-extraction eigenproblem on its own: the top eigenvector of
+// M = Q S Q, S summed over 10 z-normalized service-like members of length
+// state.range(0), at 1 thread. The power iteration's matvec dominates the
+// Fig. 5 sweep, so this tracks the study's hottest loop directly.
+void BM_PowerIteration(benchmark::State& state) {
+  util::ThreadPool::set_global_threads(1);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  la::Matrix s(n, n);
+  for (auto member : service_like_series(10)) {
+    member.resize(n);
+    const auto z = ts::znormalize(member);
+    s += la::Matrix::outer(z, z);
+  }
+  la::Matrix q = la::Matrix::identity(n);
+  for (double& e : q.data()) e -= 1.0 / static_cast<double>(n);
+  const la::Matrix m = q * s * q;
+  la::PowerIterationOptions opts;
+  opts.seed = 1234;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(la::power_iteration(m, opts));
+  }
+  util::ThreadPool::set_global_threads(0);
+}
+BENCHMARK(BM_PowerIteration)->Arg(168);
 
 void BM_KMeansBaseline(benchmark::State& state) {
   const auto series = service_like_series(20);

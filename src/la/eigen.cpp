@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "la/simd.hpp"
 #include "la/vector_ops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -34,26 +35,32 @@ EigenPair power_iteration(const Matrix& m, const PowerIterationOptions& opts) {
   // eigenvector of B is the eigenvector of A's largest algebraic eigenvalue.
   const double shift = gershgorin_bound(m) + 1.0;
 
+  // w = M v runs through the column_matvec kernel over a transposed copy:
+  // lanes span rows of M, and each w[i] keeps the ascending-j sum that
+  // Matrix::multiply computes, so every dispatch yields the same bits.
+  const Matrix mt = m.transpose();
+  const simd::Kernels& kernels = simd::active();
+
   util::Rng rng(opts.seed);
   std::vector<double> v(n);
   for (double& x : v) x = rng.uniform(-1.0, 1.0);
   normalize_l2(v);
 
+  // B = A + shift I is positive definite, so the iterate converges to the
+  // top eigenvector without alternating sign: `delta` alone detects it.
+  std::vector<double> w(n);
   double lambda_shifted = 0.0;
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    std::vector<double> w = m.multiply(v);
+    kernels.column_matvec(mt.data().data(), v.data(), w.data(), n, n);
     axpy(shift, v, w);  // w = (A + shift I) v
     const double new_lambda = norm2(w);
     if (new_lambda == 0.0) break;  // v in the null space of B (degenerate)
     scale(std::span<double>(w), 1.0 / new_lambda);
     const double delta = distance(w, v);
-    v = std::move(w);
-    // Also consider sign-flipped convergence (eigenvector up to sign).
-    std::vector<double> neg(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) neg[i] = -v[i];
+    v.swap(w);
     const bool converged =
         std::abs(new_lambda - lambda_shifted) <= opts.tolerance * new_lambda &&
-        (delta <= opts.tolerance || distance(neg, v) <= opts.tolerance);
+        delta <= opts.tolerance;
     lambda_shifted = new_lambda;
     if (converged) break;
   }

@@ -136,6 +136,16 @@ std::size_t find_first_equal(const double* x, std::size_t n, double v) {
   return n;
 }
 
+void column_matvec(const double* at, const double* x, double* y,
+                   std::size_t rows, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = 0.0;
+  for (std::size_t j = 0; j < rows; ++j) {
+    const double* col = at + j * n;
+    const double xj = x[j];
+    for (std::size_t i = 0; i < n; ++i) y[i] += col[i] * xj;
+  }
+}
+
 // The 4-lane striped reduction tree is the kernel contract (see simd.hpp):
 // lane (i & 3) accumulates element i in index order, lanes combine as
 // (l0 + l2) + (l1 + l3). The AVX2 kernels hold the same four lanes in one
@@ -169,7 +179,8 @@ const Kernels& table() noexcept {
       "scalar",      fft_passes, rfft_untangle, rfft_retangle,
       conj_multiply, complex_scale, scale,      axpy,
       accumulate,    znorm_apply, row_scale,    max_value,
-      find_first_equal, sum_stripes, masked_sum_stripes, masked_max,
+      find_first_equal, column_matvec, sum_stripes, masked_sum_stripes,
+      masked_max,
   };
   return kTable;
 }

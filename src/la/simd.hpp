@@ -11,9 +11,11 @@
 // same IEEE operation sequence in every implementation, so vector lanes
 // can't reorder anything that affects rounding. Order-sensitive reductions
 // (Welford running stats, sequential dot products and sums) deliberately
-// stay scalar in their home modules; the only reduction-shaped kernels here
-// (max_value / find_first_equal) are exact searches whose results are
-// order-independent, see the notes on each.
+// stay scalar in their home modules. Of the reduction-shaped kernels here,
+// max_value / find_first_equal are exact searches whose results are
+// order-independent, column_matvec keeps each output's whole sum in one
+// lane, and the striped sums fix their reduction tree in the contract; see
+// the notes on each.
 //
 // Dispatch: the active table is chosen on first use from the APPSCOPE_SIMD
 // environment variable ("avx2" or "scalar"); unset picks AVX2 when the
@@ -102,8 +104,18 @@ struct Kernels {
   /// First i with x[i] == v (IEEE ==, so +0 matches -0), or n if none.
   std::size_t (*find_first_equal)(const double* x, std::size_t n, double v);
 
+  /// y[i] = sum over j < rows of at[j * n + i] * x[j], for i in [0, n): the
+  /// matrix-vector product M x with `at` holding M transposed (row-major,
+  /// `rows` rows of n). Each y[i] starts from +0.0 and adds its products in
+  /// ascending j, multiply then add — the `acc += M(i, j) * x[j]` loop of a
+  /// row-major matvec, operands of each product swapped (IEEE multiply is
+  /// commutative). Vector lanes run across i, never across j, so this is
+  /// elementwise in the sense above. y's prior contents are ignored.
+  void (*column_matvec)(const double* at, const double* x, double* y,
+                        std::size_t rows, std::size_t n);
+
   // --- Slice-scan reductions (query engine) ---------------------------------
-  // These are the only summing reductions in the table. They are bitwise
+  // These are the only sums in the table that cross lanes. They are bitwise
   // deterministic across implementations because the reduction *tree* is
   // part of the kernel contract, not an implementation detail: element i is
   // added into virtual lane (i & 3), and the four lane accumulators are

@@ -328,6 +328,47 @@ std::size_t find_first_equal(const double* x, std::size_t n, double v) {
   return n;
 }
 
+// Lanes run across outputs i; each lane adds its products in ascending j
+// from +0.0, the scalar reference's order. Blocks of 16 outputs keep four
+// independent accumulator chains in flight per pass over j, so the pass is
+// bound by add throughput rather than add latency.
+void column_matvec(const double* at, const double* x, double* y,
+                   std::size_t rows, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m256d a0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd();
+    const double* col = at + i;
+    for (std::size_t j = 0; j < rows; ++j, col += n) {
+      const __m256d xj = _mm256_set1_pd(x[j]);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(col), xj));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(col + 4), xj));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(col + 8), xj));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(col + 12), xj));
+    }
+    _mm256_storeu_pd(y + i, a0);
+    _mm256_storeu_pd(y + i + 4, a1);
+    _mm256_storeu_pd(y + i + 8, a2);
+    _mm256_storeu_pd(y + i + 12, a3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    const double* col = at + i;
+    for (std::size_t j = 0; j < rows; ++j, col += n) {
+      acc = _mm256_add_pd(
+          acc, _mm256_mul_pd(_mm256_loadu_pd(col), _mm256_set1_pd(x[j])));
+    }
+    _mm256_storeu_pd(y + i, acc);
+  }
+  for (; i < n; ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < rows; ++j) acc += at[j * n + i] * x[j];
+    y[i] = acc;
+  }
+}
+
 namespace {
 
 /// Widens 4 mask bytes starting at mask[i] to a lane mask that is all-ones
@@ -408,7 +449,8 @@ const Kernels& table() noexcept {
       "avx2",        fft_passes, rfft_untangle, rfft_retangle,
       conj_multiply, complex_scale, scale,      axpy,
       accumulate,    znorm_apply, row_scale,    max_value,
-      find_first_equal, sum_stripes, masked_sum_stripes, masked_max,
+      find_first_equal, column_matvec, sum_stripes, masked_sum_stripes,
+      masked_max,
   };
   return kTable;
 }

@@ -38,7 +38,9 @@ std::string prometheus_name(std::string_view name) {
     out += '_';
   }
   for (const char c : name) out += legal_name_byte(c) ? c : '_';
-  if (out.empty()) out = "_";
+  // push_back, not `out = "_"`: gcc 12's -Wrestrict misfires on the inlined
+  // std::string::assign at -O3.
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -444,6 +444,57 @@ TEST_F(SimdParity, MaskedMax) {
   EXPECT_EQ(v_.masked_max(nans.data(), ones.data(), nans.size()), -kInf);
 }
 
+/// Output widths for column_matvec: every width up to 40 reaches each
+/// combination of the AVX2 kernel's 16-wide blocks, 4-wide tail and scalar
+/// tail; 168 (one week of hours) and 169 add the long-run shapes.
+std::vector<std::size_t> column_matvec_widths() {
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 1; n <= 40; ++n) widths.push_back(n);
+  widths.push_back(168);
+  widths.push_back(169);
+  return widths;
+}
+
+TEST_F(SimdParity, ColumnMatvec) {
+  for (const std::size_t n : column_matvec_widths()) {
+    for (const std::size_t rows : {std::size_t{0}, n, n + 3, (n + 1) / 2}) {
+      const auto at = random_vector(rows * n, 700 + n);
+      const auto x = random_vector(rows, 800 + rows);
+      std::vector<double> ys(n, kNan);
+      std::vector<double> yv(n, -kInf);
+      s_.column_matvec(at.data(), x.data(), ys.data(), rows, n);
+      v_.column_matvec(at.data(), x.data(), yv.data(), rows, n);
+      expect_bits_equal(ys, yv, "column_matvec/random", n);
+    }
+  }
+}
+
+TEST_F(SimdParity, ColumnMatvecSignedZeros) {
+  // Products of signed zeros are -0.0 in some lanes; every sum starts from
+  // +0.0, so an all-zero column sums to +0.0 in both implementations.
+  for (const std::size_t n : column_matvec_widths()) {
+    const std::size_t rows = n + 1;
+    std::vector<double> at(rows * n);
+    std::vector<double> x(rows);
+    for (std::size_t k = 0; k < at.size(); ++k) at[k] = (k % 3 == 0) ? -0.0 : 0.0;
+    for (std::size_t j = 0; j < rows; ++j) x[j] = (j % 2 == 0) ? 1.5 : -0.0;
+    std::vector<double> ys(n, -1.0);
+    std::vector<double> yv(n, -1.0);
+    s_.column_matvec(at.data(), x.data(), ys.data(), rows, n);
+    v_.column_matvec(at.data(), x.data(), yv.data(), rows, n);
+    expect_bits_equal(ys, yv, "column_matvec/signed_zeros", n);
+    for (const double v : ys) EXPECT_FALSE(std::signbit(v)) << "n=" << n;
+
+    // A single -0.0 product: 0.0 + -0.0 is +0.0, not -0.0.
+    const std::vector<double> neg_at(n, -0.0);
+    const double one = 1.0;
+    s_.column_matvec(neg_at.data(), &one, ys.data(), 1, n);
+    v_.column_matvec(neg_at.data(), &one, yv.data(), 1, n);
+    expect_bits_equal(ys, yv, "column_matvec/negative_zero", n);
+    for (const double v : yv) EXPECT_FALSE(std::signbit(v)) << "n=" << n;
+  }
+}
+
 TEST(SimdDispatch, TablesAreDistinctWhenAvx2Present) {
   const Kernels& scalar = kernels_for(Dispatch::kScalar);
   EXPECT_STREQ(scalar.name, "scalar");

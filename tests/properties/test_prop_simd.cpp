@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "la/fft.hpp"
@@ -154,6 +155,42 @@ TEST(ParallelSimdParity, KShape) {
     const ts::KShapeResult r = ts::kshape(series, opts);
     return std::make_tuple(r.assignments, r.centroids, r.inertia, r.iterations);
   });
+}
+
+TEST(ParallelSimdParity, ColumnMatvecRandomShapes) {
+  // Random (rows, n) shapes with entries spread over 16 decades, so any
+  // reordering of a column sum would round differently: both tables must
+  // reproduce the row-major ascending-j sum bit for bit.
+  namespace simd = la::simd;
+  std::vector<const simd::Kernels*> tables = {
+      &simd::kernels_for(simd::Dispatch::kScalar)};
+  if (simd::avx2_available()) {
+    tables.push_back(&simd::kernels_for(simd::Dispatch::kAvx2));
+  }
+  util::Rng rng(107);
+  auto wide = [&rng] {
+    return rng.normal() * std::pow(10.0, rng.uniform(-8.0, 8.0));
+  };
+  for (int draw = 0; draw < 200; ++draw) {
+    const std::size_t rows = rng.uniform_index(201);
+    const std::size_t n = 1 + rng.uniform_index(200);
+    std::vector<double> at(rows * n);
+    std::vector<double> x(rows);
+    for (double& e : at) e = wide();
+    for (double& e : x) e = wide();
+    std::vector<double> want(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < rows; ++j) acc += at[j * n + i] * x[j];
+      want[i] = acc;
+    }
+    for (const simd::Kernels* k : tables) {
+      std::vector<double> got(n, 7.0);
+      k->column_matvec(at.data(), x.data(), got.data(), rows, n);
+      EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(double)), 0)
+          << k->name << " rows=" << rows << " n=" << n;
+    }
+  }
 }
 
 TEST(ParallelSimdParity, AnalyticGeneratorAggregates) {
