@@ -17,6 +17,7 @@
 #include "bench_common.hpp"
 #include "support/temp_dir.hpp"
 #include "core/dataset.hpp"
+#include "io/binary.hpp"
 #include "query/engine.hpp"
 #include "query/snapshot_view.hpp"
 #include "la/aligned.hpp"
@@ -466,6 +467,21 @@ void BM_SnapshotLoad(benchmark::State& state) {
   util::ThreadPool::set_global_threads(0);
 }
 BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The section checksum alone, over state.range(0) random bytes on one
+// thread. 422068 bytes is the payload of one sealed test-scale daemon epoch,
+// so this is the checksum share of every hourly seal (and of every full
+// verification of that epoch on load).
+void BM_Crc32(benchmark::State& state) {
+  util::Rng rng(7);
+  std::vector<std::byte> bytes(static_cast<std::size_t>(state.range(0)));
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(io::crc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(422068);
 
 // Query engine (src/query): interactive slice/aggregate latency over the
 // snapshot store. BM_QueryHourSlice is the acceptance benchmark of the

@@ -10,25 +10,59 @@ namespace appscope::io {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-16 tables: t[0] is the classic byte-at-a-time table, and
+/// t[k][n] is the CRC state after feeding byte n followed by k zero bytes,
+/// so sixteen lookups advance the state over sixteen input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+CrcTables make_crc_tables() noexcept {
+  CrcTables t{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    t[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+/// Little-endian u32 at `p`, by explicit shifts (any host, any alignment).
+std::uint32_t load_le32(const std::byte* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> bytes) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::byte b : bytes) {
-    crc = table[(crc ^ static_cast<std::uint32_t>(b)) & 0xFFu] ^ (crc >> 8);
+  const std::byte* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 16; p += 16, n -= 16) {
+    const std::uint32_t w0 = load_le32(p) ^ crc;
+    const std::uint32_t w1 = load_le32(p + 4);
+    const std::uint32_t w2 = load_le32(p + 8);
+    const std::uint32_t w3 = load_le32(p + 12);
+    crc = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^
+          t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^
+          t[11][w1 & 0xFFu] ^ t[10][(w1 >> 8) & 0xFFu] ^
+          t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24] ^
+          t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu] ^
+          t[5][(w2 >> 16) & 0xFFu] ^ t[4][w2 >> 24] ^
+          t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu] ^
+          t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ static_cast<std::uint32_t>(*p)) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

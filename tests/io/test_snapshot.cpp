@@ -7,9 +7,11 @@
 // (scripts/check.sh).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,8 +22,12 @@
 #include "io/snapshot_writer.hpp"
 #include "io/serialize.hpp"
 #include "core/dataset.hpp"
+#include "geo/territory.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
+#include "workload/catalog.hpp"
+#include "workload/population.hpp"
 #include "support/temp_dir.hpp"
 
 namespace appscope::io {
@@ -98,6 +104,56 @@ TEST(SnapshotBinary, Crc32MatchesKnownVectors) {
   EXPECT_EQ(crc32(std::as_bytes(std::span(check.data(), check.size()))),
             0xCBF43926u);  // the CRC-32/ISO-HDLC check value
   EXPECT_EQ(crc32({}), 0u);
+}
+
+/// The byte-at-a-time table CRC that crc32 replaced: one lookup per byte.
+/// Kept here as the oracle the sliced implementation must match bitwise.
+std::uint32_t bytewise_crc32(std::span<const std::byte> bytes) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      std::uint32_t c = n;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[n] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::byte b : bytes) {
+    crc = table[(crc ^ static_cast<std::uint32_t>(b)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotBinary, Crc32MatchesBytewiseOracle) {
+  // Every length across several 16-byte blocks plus tails, at every start
+  // offset modulo the block size, so each block/tail split is exercised.
+  util::Rng rng(0xC4C32u);
+  std::vector<std::byte> random(1056 + 16);
+  for (std::byte& b : random) b = static_cast<std::byte>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1056; ++len) {
+      const std::span<const std::byte> s(random.data() + offset, len);
+      ASSERT_EQ(crc32(s), bytewise_crc32(s))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+
+  for (const std::byte fill : {std::byte{0x00}, std::byte{0xFF}}) {
+    const std::vector<std::byte> flat(4099, fill);
+    for (const std::size_t len : {std::size_t{16}, std::size_t{17},
+                                  std::size_t{4096}, flat.size()}) {
+      const std::span<const std::byte> s(flat.data(), len);
+      EXPECT_EQ(crc32(s), bytewise_crc32(s))
+          << "fill " << static_cast<int>(fill) << ", length " << len;
+    }
+  }
+
+  std::vector<std::byte> mib(std::size_t{1} << 20);
+  for (std::byte& b : mib) b = static_cast<std::byte>(rng.next_u64());
+  EXPECT_EQ(crc32(mib), bytewise_crc32(mib));
 }
 
 TEST(SnapshotBinary, Fnv1a64MatchesKnownVectors) {
@@ -253,6 +309,44 @@ TEST(SnapshotFormat, SectionPayloadsAreAlignedForZeroCopy) {
             0u);
 }
 
+TEST(SnapshotFormat, FixedSnapshotBytesArePinned) {
+  // A fixed tiny-scale snapshot written through io::write_snapshot. The
+  // aggregates are a closed-form pattern rather than generated traffic, so
+  // only the codec (and the synthetic territory it serializes) feeds the
+  // bytes. Any change to the written bytes, checksums included, moves this
+  // fingerprint; such a change needs a format version bump, not a new
+  // constant.
+  const synth::ScenarioConfig cfg = small_config();
+  const geo::Territory territory = geo::build_synthetic_country(cfg.country);
+  const workload::SubscriberBase subscribers(territory, cfg.population);
+  const workload::ServiceCatalog catalog =
+      workload::ServiceCatalog::paper_services();
+
+  DatasetAggregates a;
+  a.services = catalog.size();
+  a.communes = territory.size();
+  a.national.resize(a.services * 2 * 168);
+  a.commune_totals.resize(2 * a.services * a.communes);
+  a.urbanization.resize(a.services * geo::kUrbanizationCount * 2 * 168);
+  for (auto* column : {&a.national, &a.commune_totals, &a.urbanization}) {
+    for (std::size_t i = 0; i < column->size(); ++i) {
+      (*column)[i] = static_cast<double>((i * 2654435761u) % 100003) * 0.125;
+    }
+  }
+  a.downlink_total = 1.5e12;
+  a.uplink_total = 2.25e11;
+  a.cells_consumed = 123456;
+  a.class_subscribers = {11, 22, 33, 44};
+
+  const std::string path = test::temp_path("pinned.snapshot").string();
+  write_snapshot(path, cfg, territory, subscribers, catalog, a);
+  const std::vector<char> bytes = read_file(path);
+  // Recorded from the byte-at-a-time CRC implementation.
+  EXPECT_EQ(bytes.size(), 296032u);
+  EXPECT_EQ(fnv1a64(std::as_bytes(std::span(bytes.data(), bytes.size()))),
+            0x9950713be4fe045aull);
+}
+
 TEST(SnapshotFormat, UnfinishedWriterLeavesPreviousFileIntact) {
   const std::string path = base_snapshot();
   const std::vector<char> before = read_file(path);
@@ -330,6 +424,53 @@ TEST(SnapshotCorruption, FlippedPayloadByteRejected) {
   });
   expect_input_error([&] { SnapshotReader reader(path); },
                      "checksum mismatch (corrupted)");
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotCorruption, FlippedBitInEverySectionRejectedEagerAndLazy) {
+  // One flipped bit at payload offsets that straddle the checksum's 16-byte
+  // blocks and its byte tail, in every section: the eager reader rejects the
+  // file, a lazy reader rejects the section on first touch (and not before),
+  // and each rejection is counted.
+  const std::string base = base_snapshot();
+  const std::vector<char> pristine = read_file(base);
+  const SnapshotReader layout(base);
+  ASSERT_EQ(layout.sections().size(), 9u);
+  const std::string path = test::temp_path("flipped.snapshot").string();
+
+  util::MetricsRegistry::set_enabled(true);
+  util::MetricsRegistry::global().reset();
+  std::uint64_t expected_failures = 0;
+  for (const SectionEntry& e : layout.sections()) {
+    const std::string needle =
+        "section '" + std::string(section_name(e.id)) + "' checksum mismatch";
+    ASSERT_GT(e.payload_bytes, 0u) << section_name(e.id);
+    const std::uint64_t last = e.payload_bytes - 1;
+    for (const std::uint64_t at :
+         std::set<std::uint64_t>{0, 15, 16, e.payload_bytes / 2, last}) {
+      if (at > last) continue;
+      SCOPED_TRACE(std::string(section_name(e.id)) + " byte " +
+                   std::to_string(at));
+      std::vector<char> bytes = pristine;
+      const std::size_t pos = static_cast<std::size_t>(e.offset + at);
+      bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << (at % 8)));
+      write_file(path, bytes);
+
+      expect_input_error([&] { SnapshotReader reader(path); }, needle);
+      const SnapshotReader lazy(path, ValidationMode::kLazy);
+      for (const SectionEntry& other : lazy.sections()) {
+        if (other.id != e.id) EXPECT_NO_THROW(lazy.section(other.id));
+      }
+      expect_input_error([&] { lazy.section(e.id); }, needle);
+      expected_failures += 2;
+
+      const auto snap = util::MetricsRegistry::global().snapshot();
+      const auto it = snap.counters.find("io.snapshot.checksum_failures");
+      ASSERT_NE(it, snap.counters.end());
+      EXPECT_EQ(it->second, expected_failures);
+    }
+  }
+  util::MetricsRegistry::set_enabled(false);
   std::filesystem::remove(path);
 }
 

@@ -3,10 +3,14 @@
 // composes the two contracts the repo guarantees separately — parallel
 // stages are bitwise deterministic (test_prop_parallel.cpp) and snapshot
 // round-trips are bitwise exact (tests/io) — and checks they hold through
-// each other.
+// each other. It also checks the section checksum against the CRC-32's
+// bit-serial definition at random lengths.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,8 +18,10 @@
 #include "core/dataset.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
+#include "io/binary.hpp"
 #include "synth/scenario.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "support/temp_dir.hpp"
 
 namespace appscope {
@@ -102,6 +108,35 @@ TEST(ParallelDeterminism, SnapshotRoundTripAggregatesExampleScale) {
     return round_trip_aggregates(config,
                                  test::temp_path("example_scale.snapshot"));
   });
+}
+
+/// CRC-32 straight from its definition: shift one bit at a time through the
+/// reflected polynomial, no tables. Independent of every table layout.
+std::uint32_t bit_serial_crc32(std::span<const std::byte> bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::byte b : bytes) {
+    crc ^= static_cast<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotChecksum, Crc32MatchesBitSerialDefinitionAtRandomLengths) {
+  // Random lengths up to 1 MiB at random start offsets of one random buffer:
+  // the section checksum must equal the definitional CRC for every draw.
+  constexpr std::size_t kMaxLength = std::size_t{1} << 20;
+  util::Rng rng(0x51C3D16u);
+  std::vector<std::byte> buffer(kMaxLength + 16);
+  for (std::byte& b : buffer) b = static_cast<std::byte>(rng.next_u64());
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t len = rng.uniform_index(kMaxLength + 1);
+    const std::size_t offset = rng.uniform_index(16);
+    const std::span<const std::byte> s(buffer.data() + offset, len);
+    EXPECT_EQ(io::crc32(s), bit_serial_crc32(s))
+        << "offset " << offset << ", length " << len;
+  }
 }
 
 }  // namespace
