@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the core algorithms, including the
 // ablations called out in DESIGN.md:
-//  - SBD cross-correlation: direct O(n²) vs FFT O(n log n) crossover;
+//  - SBD: the direct O(n²) correlation oracle, the plan-cached transforms
+//    and the SBD kernel at the weekly length;
 //  - k-Shape vs k-means on the 20 weekly service series;
 //  - streaming generator throughput (cells/second into the sinks);
 //  - smoothed z-score peak detection.
@@ -67,17 +68,6 @@ void BM_CrossCorrelationDirect(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_CrossCorrelationDirect)->RangeMultiplier(2)->Range(32, 1024);
-
-void BM_CrossCorrelationFft(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_series(n, 1);
-  const auto b = random_series(n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::cross_correlation_fft(a, b));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_CrossCorrelationFft)->RangeMultiplier(2)->Range(32, 1024);
 
 // Plan-cached transforms at the SBD working size for weekly series
 // (m = 168 -> padded 512). Tracked in BENCH_core.json.
@@ -376,7 +366,8 @@ void BM_SbdDistanceMatrixThreads(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)));
   const auto series = service_like_series(200);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ts::sbd_distance_matrix(series));
+    const ts::SeriesBatch batch(series);
+    benchmark::DoNotOptimize(ts::sbd_distance_matrix(batch));
   }
   state.SetItemsProcessed(state.iterations() * 200 * 199 / 2);
   util::ThreadPool::set_global_threads(0);
@@ -772,6 +763,9 @@ BENCHMARK(BM_QueryConcurrentReaders)
 // BENCH_core.json baseline.
 class BaselineReporter final : public benchmark::ConsoleReporter {
  public:
+  explicit BaselineReporter(OutputOptions options)
+      : ConsoleReporter(options) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
@@ -791,6 +785,15 @@ class BaselineReporter final : public benchmark::ConsoleReporter {
 };
 
 }  // namespace
+
+// Exported by libbenchmark (>= 1.7) but not declared in its public header:
+// the console options that --benchmark_color (auto/true/false, where auto
+// means "stdout is a colour terminal") and --benchmark_counters_tabular
+// select. A reporter passed to RunSpecifiedBenchmarks must be built with
+// them, or it prints colour codes into pipes and files.
+namespace benchmark::internal {
+ConsoleReporter::OutputOptions GetOutputOptions(bool force_no_color);
+}  // namespace benchmark::internal
 
 // Expanded BENCHMARK_MAIN() with the observability hooks: when
 // APPSCOPE_METRICS=1, the per-stage timers recorded while the benchmarks ran
@@ -812,7 +815,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "la::simd dispatch: %s\n",
                appscope::la::simd::active_name());
   appscope::la::simd::record_dispatch_metric();
-  BaselineReporter reporter;
+  // The options --benchmark_color and --benchmark_counters_tabular parsed
+  // into: the same call the library makes for its own default reporter.
+  BaselineReporter reporter(benchmark::internal::GetOutputOptions(false));
   benchmark::RunSpecifiedBenchmarks(&reporter);
   if (const char* path = std::getenv("APPSCOPE_BENCH_JSON");
       path != nullptr && *path != '\0') {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "la/eigen.hpp"
 #include "la/matrix.hpp"
@@ -177,16 +176,11 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
                        : s);
   }
 
-  // Batch mode: member spectra computed once here and reused by every
-  // assignment and refinement across all iterations; centroid rows refresh
-  // via set_series as centroids change.
-  const bool batch_mode = opts.use_cached_spectra;
-  std::optional<SeriesBatch> data_batch;
-  std::optional<SeriesBatch> centroid_batch;
-  if (batch_mode) {
-    data_batch.emplace(data);
-    centroid_batch.emplace(opts.k, n);
-  }
+  // Member spectra are computed once here and reused by every assignment
+  // and refinement across all iterations; centroid rows refresh via
+  // set_series as centroids change.
+  const SeriesBatch data_batch(data);
+  SeriesBatch centroid_batch(opts.k, n);
 
   util::Rng rng(opts.seed);
   KShapeResult result;
@@ -219,16 +213,9 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
       util::parallel_for(0, opts.k, 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t c = lo; c < hi; ++c) {
           if (member_idx[c].empty()) continue;  // re-seeded after assignment
-          if (batch_mode) {
-            result.centroids[c] = shape_extract_batch(
-                *data_batch, member_idx[c], *centroid_batch, c, sbd_scratch());
-            centroid_batch->set_series(c, result.centroids[c]);
-          } else {
-            std::vector<std::vector<double>> members;
-            members.reserve(member_idx[c].size());
-            for (const std::size_t i : member_idx[c]) members.push_back(data[i]);
-            result.centroids[c] = shape_extract(members, result.centroids[c]);
-          }
+          result.centroids[c] = shape_extract_batch(
+              data_batch, member_idx[c], centroid_batch, c, sbd_scratch());
+          centroid_batch.set_series(c, result.centroids[c]);
         }
       });
     }
@@ -246,15 +233,9 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
             double best = std::numeric_limits<double>::infinity();
             std::size_t best_c = prev_assignments[i];
             for (std::size_t c = 0; c < opts.k; ++c) {
-              const double cnorm = batch_mode
-                                       ? centroid_batch->norm(c)
-                                       : la::norm2(result.centroids[c]);
-              if (cnorm == 0.0) continue;
+              if (centroid_batch.norm(c) == 0.0) continue;
               const double d =
-                  batch_mode
-                      ? sbd_pair_distance(*centroid_batch, c, *data_batch, i,
-                                          scratch)
-                      : sbd_distance(result.centroids[c], data[i]);
+                  sbd_pair_distance(centroid_batch, c, data_batch, i, scratch);
               if (d < best) {
                 best = d;
                 best_c = c;
@@ -282,13 +263,9 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
       SbdScratch& scratch = sbd_scratch();
       for (std::size_t i = 0; i < data.size(); ++i) {
         const auto owner = result.assignments[i];
-        const double onorm = batch_mode ? centroid_batch->norm(owner)
-                                        : la::norm2(result.centroids[owner]);
-        if (onorm == 0.0) continue;
-        const double d = batch_mode
-                             ? sbd_pair_distance(*centroid_batch, owner,
-                                                 *data_batch, i, scratch)
-                             : sbd_distance(result.centroids[owner], data[i]);
+        if (centroid_batch.norm(owner) == 0.0) continue;
+        const double d =
+            sbd_pair_distance(centroid_batch, owner, data_batch, i, scratch);
         if (d > worst) {
           worst = d;
           worst_i = i;
@@ -298,7 +275,7 @@ KShapeResult kshape(const std::vector<std::vector<double>>& series,
       result.centroids[c] = data[worst_i];
       // Keep the centroid batch in sync immediately: a later empty cluster
       // in this same loop may measure distances against cluster c.
-      if (batch_mode) centroid_batch->set_series(c, data[worst_i]);
+      centroid_batch.set_series(c, data[worst_i]);
     }
 
     if (result.assignments == prev_assignments) {

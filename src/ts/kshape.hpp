@@ -10,6 +10,11 @@
 //                 members are cross-correlation-aligned to the old centroid,
 //                 and the new centroid is the dominant eigenvector of
 //                 M = Q S Q, with S = Σ aligned xᵢ xᵢᵀ and Q = I - (1/n)·1.
+//
+// Every SBD of a fit runs on ts::SeriesBatch caches (ts/series_batch.hpp):
+// member spectra are computed once per fit and centroid spectra once per
+// refinement. The result is bitwise the per-pair algorithm built from
+// sbd_distance and shape_extract, at any thread count (property-tested).
 #pragma once
 
 #include <cstdint>
@@ -24,13 +29,6 @@ struct KShapeOptions {
   std::uint64_t seed = 7;
   /// z-normalize every series before clustering (the canonical setting).
   bool z_normalize_input = true;
-  /// Use the ts::SeriesBatch spectrum cache for assignment and refinement:
-  /// member spectra are computed once and persist across iterations,
-  /// centroid spectra refresh once per refinement. false falls back to
-  /// per-pair sbd() calls. Both paths are bitwise identical (they share the
-  /// SBD kernel; property-tested) — the flag exists for that comparison and
-  /// for memory-constrained callers.
-  bool use_cached_spectra = true;
 };
 
 struct KShapeResult {

@@ -18,9 +18,9 @@ std::vector<double> ncc_c(std::span<const double> x, std::span<const double> y) 
   const std::size_t out_len = 2 * x.size() - 1;
   if (nx == 0.0 || ny == 0.0) return std::vector<double>(out_len, 0.0);
 
-  // cross_correlation(a, b)[k] = sum_j a[j + k - (m-1)] * b[j]; with a = x,
-  // b = y, index k corresponds to shifting y right by s = k - (m-1).
-  std::vector<double> cc = la::cross_correlation(x, y);
+  // cross_correlation_direct(a, b)[k] = sum_j a[j + k - (m-1)] * b[j]; with
+  // a = x, b = y, index k corresponds to shifting y right by s = k - (m-1).
+  std::vector<double> cc = la::cross_correlation_direct(x, y);
   const double denom = nx * ny;
   for (double& v : cc) v /= denom;
   return cc;
@@ -59,22 +59,6 @@ std::vector<double> shift_series(std::span<const double> y, std::ptrdiff_t shift
 std::vector<double> align_to(std::span<const double> x, std::span<const double> y) {
   const SbdResult r = sbd(x, y);
   return shift_series(y, r.shift);
-}
-
-std::vector<std::vector<double>> sbd_distance_matrix(
-    const std::vector<std::vector<double>>& series) {
-  // Compatibility shim over the SeriesBatch overload (ts/series_batch.hpp):
-  // builds the spectrum cache once, computes the flat matrix, and unpacks
-  // into the legacy nested layout.
-  const SeriesBatch batch(series);
-  const DistanceMatrix d = sbd_distance_matrix(batch);
-  const std::size_t n = d.size();
-  std::vector<std::vector<double>> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::span<const double> row = d.row(i);
-    out[i].assign(row.begin(), row.end());
-  }
-  return out;
 }
 
 }  // namespace appscope::ts

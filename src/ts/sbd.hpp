@@ -8,6 +8,11 @@
 //   SBD(x, y)    = 1 - max_w NCCc_w(x, y)          ∈ [0, 2]
 // where CC_w is the linear cross-correlation at shift s = w - m.
 // SBD is shift-invariant; on z-normalized series it is also scale-invariant.
+//
+// sbd() and the batch entry points in ts/series_batch.hpp (sbd_pair, the
+// pairwise sbd_distance_matrix over a SeriesBatch) run one kernel, which
+// correlates directly up to kSbdSpectralThreshold and through the cached
+// real-FFT plans above it.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +32,9 @@ struct SbdResult {
 
 /// Full normalized cross-correlation sequence NCCc_w, w = 1..2m-1
 /// (index i corresponds to shift s = i - (m-1)). If either series has zero
-/// norm, the sequence is all zeros.
+/// norm, the sequence is all zeros. Evaluated directly in O(m^2)
+/// (la::cross_correlation_direct): this is the reference the spectral SBD
+/// kernel is tested against, not a hot-path entry point.
 std::vector<double> ncc_c(std::span<const double> x, std::span<const double> y);
 
 /// SBD with optimal shift. Requires equal, non-zero lengths.
@@ -50,14 +57,5 @@ void shift_series_into(std::span<const double> y, std::ptrdiff_t shift,
 /// Aligns y against reference x: computes sbd(x, y) and returns y shifted by
 /// the optimal shift.
 std::vector<double> align_to(std::span<const double> x, std::span<const double> y);
-
-/// Symmetric pairwise SBD matrix over `series` (all equal length >= 2),
-/// zero diagonal, in the legacy nested layout. Compatibility shim over the
-/// SeriesBatch overload (ts/series_batch.hpp), which precomputes each
-/// series' spectrum once instead of per pair — prefer it (and the flat
-/// DistanceMatrix it returns) in new code. Row-sharded across the global
-/// util::ThreadPool; bitwise identical at any thread count.
-std::vector<std::vector<double>> sbd_distance_matrix(
-    const std::vector<std::vector<double>>& series);
 
 }  // namespace appscope::ts

@@ -32,11 +32,10 @@
 namespace appscope::ts {
 
 /// Direct evaluation wins for SBD up to this series length; above it the
-/// batch spectral path is faster. Lower than
-/// la::kCrossCorrelationDirectThreshold because cached spectra reduce the
-/// per-pair spectral cost to one conj-multiply plus one inverse transform:
-/// measured (release, -O2, plan cache warm) direct wins at m = 80 (2.3us vs
-/// 2.8us per pair) and loses from m = 96 (3.9us vs 2.9us).
+/// batch spectral path is faster. Cached spectra reduce the per-pair
+/// spectral cost to one conj-multiply plus one inverse transform: measured
+/// (release, -O2, plan cache warm) direct wins at m = 80 (2.3us vs 2.8us
+/// per pair) and loses from m = 96 (3.9us vs 2.9us).
 inline constexpr std::size_t kSbdSpectralThreshold = 80;
 
 /// True when SBD over length-m series takes the spectral path (above
@@ -140,8 +139,8 @@ double sbd_pair_distance(const SeriesBatch& x, std::size_t i,
                          SbdScratch& scratch);
 
 /// Symmetric pairwise SBD matrix over the batch (zero diagonal), row-sharded
-/// across the global pool with per-worker scratch; bitwise identical to the
-/// per-pair ts::sbd_distance_matrix at any thread count.
+/// across the global pool with per-worker scratch. Entry (i, j), i < j, is
+/// bitwise ts::sbd_distance(series i, series j) at any thread count.
 DistanceMatrix sbd_distance_matrix(const SeriesBatch& batch);
 
 }  // namespace appscope::ts

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -15,15 +16,17 @@
 #include "core/study.hpp"
 #include "obs/sampler.hpp"
 #include "geo/territory.hpp"
-#include "la/fft.hpp"
+#include "la/fft_plan.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/correlation.hpp"
+#include "support/spectral_correlation.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
 #include "synth/sinks.hpp"
 #include "ts/kshape.hpp"
 #include "ts/peaks.hpp"
 #include "ts/sbd.hpp"
+#include "ts/series_batch.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -107,8 +110,8 @@ TEST(MetricsDeterminism, ClusteringIsIdentical) {
 
 TEST(MetricsDeterminism, SbdMatrixIsIdentical) {
   const auto series = fixture_series(16);
-  const auto [off, on] =
-      both_ways([&] { return ts::sbd_distance_matrix(series); });
+  const auto [off, on] = both_ways(
+      [&] { return ts::sbd_distance_matrix(ts::SeriesBatch(series)); });
   EXPECT_EQ(off, on);
 }
 
@@ -118,16 +121,24 @@ TEST(MetricsDeterminism, FftTransformsAreIdentical) {
   // correlations bit for bit with the gate on or off.
   const auto series = fixture_series(2);
   const auto [off, on] = both_ways([&] {
+    const la::RealFftPlan& plan = la::RealFftPlan::plan_for(512);
     std::vector<double> flat;
-    const auto spectrum = la::rfft(series[0], 512);
+    std::vector<std::complex<double>> spectrum(plan.spectrum_size());
+    plan.forward(series[0], spectrum);
     for (const auto& bin : spectrum) {
       flat.push_back(bin.real());
       flat.push_back(bin.imag());
     }
-    const auto back = la::irfft(spectrum, 512);
+    std::vector<double> back(512);
+    plan.inverse(spectrum, back);
     flat.insert(flat.end(), back.begin(), back.end());
-    const auto corr = la::cross_correlation_fft(series[0], series[1]);
+    const auto corr = test::spectral_cross_correlation(series[0], series[1]);
     flat.insert(flat.end(), corr.begin(), corr.end());
+    // The spectral SBD kernel at the weekly length (m = 168 pads to 512).
+    const ts::SbdResult r = ts::sbd(series[0], series[1]);
+    flat.push_back(r.distance);
+    flat.push_back(r.ncc);
+    flat.push_back(static_cast<double>(r.shift));
     return flat;
   });
   EXPECT_EQ(off, on);
@@ -135,18 +146,23 @@ TEST(MetricsDeterminism, FftTransformsAreIdentical) {
 
 TEST(MetricsDeterminism, FftCountersAreRecordedWhenEnabled) {
   const bool was = util::MetricsRegistry::enabled();
+  const auto series = fixture_series(2);
+  // Build the m = 168 plans first, so the measured call's single plan
+  // lookup is a hit.
+  (void)ts::sbd(series[0], series[1]);
   util::MetricsRegistry::set_enabled(true);
   util::MetricsRegistry::global().reset();
-  const auto series = fixture_series(2);
-  (void)la::cross_correlation_fft(series[0], series[1]);
+  (void)ts::sbd(series[0], series[1]);
+  (void)ts::sbd(series[1], series[0]);
+  (void)ts::sbd(series[0], series[0]);
   const util::MetricsSnapshot snap = util::MetricsRegistry::global().snapshot();
   util::MetricsRegistry::set_enabled(was);
   util::MetricsRegistry::global().reset();
 
-  // One rfft per input plus the inverse: at least 3 transforms, and every
-  // plan lookup lands as either a hit or a miss.
+  // Each spectral SBD runs one forward rfft per input plus the inverse, and
+  // looks its real plan up once: every transform and every lookup counted.
   ASSERT_TRUE(snap.counters.contains("la.fft.transforms"));
-  EXPECT_GE(snap.counters.at("la.fft.transforms"), 3u);
+  EXPECT_EQ(snap.counters.at("la.fft.transforms"), 9u);
   const std::uint64_t hits =
       snap.counters.contains("la.fft.plan_cache_hits")
           ? snap.counters.at("la.fft.plan_cache_hits")
@@ -155,7 +171,8 @@ TEST(MetricsDeterminism, FftCountersAreRecordedWhenEnabled) {
       snap.counters.contains("la.fft.plan_cache_misses")
           ? snap.counters.at("la.fft.plan_cache_misses")
           : 0;
-  EXPECT_GE(hits + misses, 3u);
+  EXPECT_EQ(hits, 3u);
+  EXPECT_EQ(misses, 0u);
 }
 
 TEST(MetricsDeterminism, PeakDetectionIsIdentical) {

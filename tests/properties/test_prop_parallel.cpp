@@ -16,6 +16,7 @@
 #include "ts/hierarchical.hpp"
 #include "ts/kshape.hpp"
 #include "ts/sbd.hpp"
+#include "ts/series_batch.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -133,7 +134,7 @@ TEST(ParallelDeterminism, PairwiseR2IsBitwiseIdentical) {
 TEST(ParallelDeterminism, SbdDistanceMatrixIsBitwiseIdentical) {
   const auto series = noisy_weekly_series(25, 37);
   expect_identical_across_thread_counts(
-      [&] { return ts::sbd_distance_matrix(series); });
+      [&] { return ts::sbd_distance_matrix(ts::SeriesBatch(series)); });
 }
 
 TEST(ParallelDeterminism, HierarchicalClusteringIsBitwiseIdentical) {

@@ -5,7 +5,9 @@
 #include <cmath>
 
 #include "la/fft.hpp"
+#include "support/spectral_correlation.hpp"
 #include "ts/sbd.hpp"
+#include "ts/series_batch.hpp"
 #include "ts/znorm.hpp"
 #include "util/rng.hpp"
 
@@ -68,13 +70,21 @@ TEST_P(SbdProperties, ShiftReducesToNearZeroDistance) {
   EXPECT_EQ(sbd(x, y).shift, -shift);
 }
 
+// ncc_c is the direct oracle; sbd runs the direct kernel up to
+// kSbdSpectralThreshold and the spectral one above it, so the cases on both
+// sides of the cutover check both paths against it.
 TEST_P(SbdProperties, NccPeakConsistentWithDistance) {
   const auto x = random_series(1);
   const auto y = random_series(2);
   const auto ncc = ncc_c(x, y);
-  double best = -2.0;
-  for (const double v : ncc) best = std::max(best, v);
-  EXPECT_NEAR(sbd_distance(x, y), 1.0 - best, 1e-10);
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < ncc.size(); ++k) {
+    if (ncc[k] > ncc[best]) best = k;
+  }
+  const SbdResult r = sbd(x, y);
+  EXPECT_NEAR(r.distance, 1.0 - ncc[best], 1e-10);
+  EXPECT_EQ(r.shift, static_cast<std::ptrdiff_t>(best) -
+                         static_cast<std::ptrdiff_t>(x.size() - 1));
 }
 
 TEST_P(SbdProperties, AlignToIsIdempotentOnShift) {
@@ -89,7 +99,7 @@ TEST_P(SbdProperties, FftAndDirectCrossCorrelationAgree) {
   const auto x = random_series(1);
   const auto y = random_series(2);
   const auto direct = la::cross_correlation_direct(x, y);
-  const auto fft = la::cross_correlation_fft(x, y);
+  const auto fft = test::spectral_cross_correlation(x, y);
   ASSERT_EQ(direct.size(), fft.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     ASSERT_NEAR(direct[i], fft[i], 1e-7 * (1.0 + std::abs(direct[i])));
@@ -112,6 +122,7 @@ TEST_P(SbdProperties, ZnormalizationDoesNotChangeSbdMuch) {
 // not protected from the preprocessor.
 const auto kSbdCases = ::testing::Values(
     SbdCase{8, 1}, SbdCase{16, 2}, SbdCase{24, 3}, SbdCase{64, 4},
+    SbdCase{kSbdSpectralThreshold, 10}, SbdCase{kSbdSpectralThreshold + 1, 11},
     SbdCase{100, 5}, SbdCase{168, 6}, SbdCase{168, 7}, SbdCase{256, 8},
     SbdCase{333, 9});
 

@@ -1,8 +1,9 @@
 // Determinism and equivalence properties for the spectrum-cached SBD batch
 // path (ts/series_batch.hpp):
 //
-//  - the flat SeriesBatch distance matrix and the k-Shape cached-spectra
-//    path are bitwise identical to the per-pair path, at any thread count;
+//  - the flat SeriesBatch distance matrix and ts::kshape, which runs every
+//    SBD on cached spectra, are bitwise identical to per-pair oracles built
+//    from ts::sbd_distance (and ts::shape_extract), at any thread count;
 //  - the DistanceMatrix overloads of hierarchical clustering and the
 //    cluster-quality indices equal their distance-functor counterparts.
 //
@@ -10,14 +11,19 @@
 // ^Parallel) races these paths too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
+#include "la/vector_ops.hpp"
 #include "ts/cluster_quality.hpp"
 #include "ts/hierarchical.hpp"
 #include "ts/kshape.hpp"
 #include "ts/sbd.hpp"
 #include "ts/series_batch.hpp"
+#include "ts/znorm.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -109,18 +115,100 @@ TEST(ParallelSbdBatch, BatchMatrixEqualsPerPairMatrix) {
   }
 }
 
+/// k-Shape written per pair and serially: every distance through
+/// ts::sbd_distance, every refinement through ts::shape_extract, every
+/// centroid norm through la::norm2. The same steps in the same order as
+/// ts::kshape, without the SeriesBatch spectrum caches or the pool.
+ts::KShapeResult per_pair_kshape(const std::vector<std::vector<double>>& series,
+                                 const ts::KShapeOptions& opts) {
+  std::vector<std::vector<double>> data;
+  for (const auto& s : series) {
+    data.push_back(opts.z_normalize_input
+                       ? ts::znormalize(std::span<const double>(s))
+                       : s);
+  }
+  util::Rng rng(opts.seed);
+  ts::KShapeResult result;
+  result.assignments.resize(data.size());
+  for (auto& a : result.assignments) {
+    a = static_cast<std::size_t>(rng.uniform_index(opts.k));
+  }
+  std::vector<std::size_t> order(data.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng.shuffle(order);
+  for (std::size_t c = 0; c < opts.k; ++c) result.assignments[order[c]] = c;
+  result.centroids.assign(opts.k,
+                          std::vector<double>(data.front().size(), 0.0));
+
+  for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    for (std::size_t c = 0; c < opts.k; ++c) {
+      std::vector<std::vector<double>> members;
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        if (result.assignments[i] == c) members.push_back(data[i]);
+      }
+      if (!members.empty()) {
+        result.centroids[c] = ts::shape_extract(members, result.centroids[c]);
+      }
+    }
+
+    const std::vector<std::size_t> prev = result.assignments;
+    result.inertia = 0.0;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      double best = std::numeric_limits<double>::infinity();
+      std::size_t best_c = prev[i];
+      for (std::size_t c = 0; c < opts.k; ++c) {
+        if (la::norm2(result.centroids[c]) == 0.0) continue;
+        const double d = ts::sbd_distance(result.centroids[c], data[i]);
+        if (d < best) {
+          best = d;
+          best_c = c;
+        }
+      }
+      result.assignments[i] = best_c;
+      result.inertia += best;
+    }
+
+    // Re-seed each empty cluster with the series farthest from its centroid.
+    for (std::size_t c = 0; c < opts.k; ++c) {
+      if (std::ranges::find(result.assignments, c) != result.assignments.end()) {
+        continue;
+      }
+      double worst = -1.0;
+      std::size_t worst_i = 0;
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        const std::vector<double>& owner =
+            result.centroids[result.assignments[i]];
+        if (la::norm2(owner) == 0.0) continue;
+        const double d = ts::sbd_distance(owner, data[i]);
+        if (d > worst) {
+          worst = d;
+          worst_i = i;
+        }
+      }
+      result.assignments[worst_i] = c;
+      result.centroids[c] = data[worst_i];
+    }
+
+    if (result.assignments == prev) {
+      result.converged = true;
+      break;
+    }
+  }
+  return result;
+}
+
 TEST(ParallelSbdBatch, KShapeCachedSpectraEqualsPerPairPath) {
   const auto series = noisy_weekly_series(30, 57);
+  ts::KShapeOptions opts;
+  opts.k = 4;
   for (const std::size_t threads : kThreadCounts) {
     util::ThreadPool::set_global_threads(threads);
-    ts::KShapeOptions cached;
-    cached.k = 4;
-    cached.use_cached_spectra = true;
-    ts::KShapeOptions per_pair = cached;
-    per_pair.use_cached_spectra = false;
-    const auto a = flatten_kshape(ts::kshape(series, cached));
-    const auto b = flatten_kshape(ts::kshape(series, per_pair));
-    EXPECT_TRUE(a == b) << "paths diverge at " << threads << " threads";
+    const ts::KShapeResult cached = ts::kshape(series, opts);
+    const ts::KShapeResult oracle = per_pair_kshape(series, opts);
+    EXPECT_TRUE(flatten_kshape(cached) == flatten_kshape(oracle))
+        << "paths diverge at " << threads << " threads";
+    EXPECT_EQ(cached.converged, oracle.converged);
   }
   util::ThreadPool::set_global_threads(0);
 }
@@ -129,7 +217,6 @@ TEST(ParallelSbdBatch, KShapeCachedSpectraIsBitwiseIdenticalAcrossThreads) {
   const auto series = noisy_weekly_series(30, 59);
   ts::KShapeOptions opts;
   opts.k = 4;
-  opts.use_cached_spectra = true;
   expect_identical_across_thread_counts(
       [&] { return flatten_kshape(ts::kshape(series, opts)); });
 }

@@ -14,8 +14,9 @@
 #include <cstring>
 #include <vector>
 
-#include "la/fft.hpp"
+#include "la/fft_plan.hpp"
 #include "la/simd.hpp"
+#include "support/spectral_correlation.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
 #include "ts/kshape.hpp"
@@ -85,24 +86,38 @@ void expect_identical_across_dispatch_and_threads(Fn&& fn) {
 TEST(ParallelSimdParity, RealFftRoundTrip) {
   const auto series = noisy_weekly_series(4, 101);
   expect_identical_across_dispatch_and_threads([&] {
+    const la::RealFftPlan& plan = la::RealFftPlan::plan_for(512);
     std::vector<double> flat;
+    std::vector<std::complex<double>> spectrum(plan.spectrum_size());
+    std::vector<double> back(512);
     for (const auto& s : series) {
-      const auto spectrum = la::rfft(s, 512);
+      plan.forward(s, spectrum);
       for (const auto& bin : spectrum) {
         flat.push_back(bin.real());
         flat.push_back(bin.imag());
       }
-      const auto back = la::irfft(spectrum, 512);
+      plan.inverse(spectrum, back);
       flat.insert(flat.end(), back.begin(), back.end());
     }
     return flat;
   });
 }
 
+// The spectral SBD path at the weekly length (m = 168 pads to 512): every
+// lag of the plan-and-conj-multiply correlation, and the SBD result the
+// kernel scans out of it.
 TEST(ParallelSimdParity, CrossCorrelationFft) {
   const auto series = noisy_weekly_series(2, 102);
-  expect_identical_across_dispatch_and_threads(
-      [&] { return la::cross_correlation_fft(series[0], series[1]); });
+  ASSERT_TRUE(ts::sbd_uses_spectral(series[0].size()));
+  expect_identical_across_dispatch_and_threads([&] {
+    std::vector<double> flat =
+        test::spectral_cross_correlation(series[0], series[1]);
+    const ts::SbdResult r = ts::sbd(series[0], series[1]);
+    flat.push_back(r.distance);
+    flat.push_back(r.ncc);
+    flat.push_back(static_cast<double>(r.shift));
+    return flat;
+  });
 }
 
 TEST(ParallelSimdParity, Znormalize) {
@@ -117,7 +132,7 @@ TEST(ParallelSimdParity, Znormalize) {
 TEST(ParallelSimdParity, SbdDistanceMatrix) {
   const auto series = noisy_weekly_series(24, 104);
   expect_identical_across_dispatch_and_threads(
-      [&] { return ts::sbd_distance_matrix(series); });
+      [&] { return ts::sbd_distance_matrix(ts::SeriesBatch(series)); });
 }
 
 TEST(ParallelSimdParity, SbdPairsIncludingZeroNormAndTies) {
