@@ -811,14 +811,15 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   // Pin the measured kernel implementation in the run's outputs: once on
   // stderr for the human log, and as la.simd.dispatch.<name> in the metrics
-  // artifact (when APPSCOPE_METRICS=1) so bench-smoke archives it.
+  // artifact (when APPSCOPE_METRICS=1). The counter is recorded after the
+  // run because BM_IngestEventsSampled resets the registry.
   std::fprintf(stderr, "la::simd dispatch: %s\n",
                appscope::la::simd::active_name());
-  appscope::la::simd::record_dispatch_metric();
   // The options --benchmark_color and --benchmark_counters_tabular parsed
   // into: the same call the library makes for its own default reporter.
   BaselineReporter reporter(benchmark::internal::GetOutputOptions(false));
   benchmark::RunSpecifiedBenchmarks(&reporter);
+  appscope::la::simd::record_dispatch_metric();
   if (const char* path = std::getenv("APPSCOPE_BENCH_JSON");
       path != nullptr && *path != '\0') {
     appscope::bench::write_bench_baseline(path, reporter.real_time_ns());

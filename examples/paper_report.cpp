@@ -21,7 +21,9 @@
 using namespace appscope;
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv,
+                           {"trace", "scale", "snapshot", "load", "kmax",
+                            "no-maps", "out", "csv-dir"});
   // APPSCOPE_METRICS=1 exports the per-stage timings of the run to
   // metrics.json (or APPSCOPE_METRICS_PATH) when the process exits.
   util::write_metrics_at_exit();

@@ -31,7 +31,7 @@
 using namespace appscope;
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"snapshot"});
   std::cout << util::rule("appscope example: network slicing planner") << "\n";
 
   const std::string path =

@@ -21,7 +21,7 @@
 using namespace appscope;
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"scale"});
   std::cout << util::rule("appscope example: what if rural 4G were upgraded?")
             << "\n";
 

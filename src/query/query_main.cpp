@@ -219,7 +219,12 @@ void print_result(std::ostream& out, const query::Slice& slice,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv,
+      {"trace", "snapshot", "dir", "follow", "repeat", "interval-ms",
+       "admin-port", "admin-sample-ms", "cache", "slicing", "stats", "check",
+       "source", "direction", "hours", "services", "communes", "class", "op",
+       "k", "group-by"});
   util::write_metrics_at_exit();
   // A follow loop is commonly killed with Ctrl-C / SIGTERM mid-poll; the
   // handler flushes the metrics JSON so the run still leaves one behind.

@@ -141,7 +141,10 @@ int run(const util::CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv,
+      {"metrics", "trace", "list", "scale", "regions", "count", "out",
+       "regenerate", "threads", "merge", "direction", "max-rows", "report"});
   if (args.has("metrics")) util::MetricsRegistry::set_enabled(true);
   util::write_metrics_at_exit();
   util::enable_trace_export(args.get_string("trace", ""));

@@ -53,7 +53,12 @@ extern "C" void handle_stop_signal(int sig) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv,
+      {"trace", "scale", "shards", "queue-capacity", "epoch-seconds",
+       "events-per-cell", "rate", "duration", "weeks", "sample-period",
+       "force-sampling", "snapshot-dir", "admin-port", "admin-bind",
+       "admin-sample-ms", "epoch-stall-seconds", "seal-slo"});
   util::write_metrics_at_exit();
   util::enable_trace_export(args.get_string("trace", ""));
 

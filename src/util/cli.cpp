@@ -1,11 +1,17 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <iostream>
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace appscope::util {
 
-CliArgs::CliArgs(int argc, char** argv) {
+CliArgs::CliArgs(int argc, char** argv,
+                 std::initializer_list<std::string_view> accepted)
+    : accepted_(accepted.begin(), accepted.end()) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     const std::string_view token = argv[i];
@@ -23,16 +29,34 @@ CliArgs::CliArgs(int argc, char** argv) {
       positionals_.emplace_back(token);
     }
   }
+
+  for (const auto& opt : options_) {
+    if (std::ranges::find(accepted_, opt.name) != accepted_.end()) continue;
+    std::cerr << program_ << ": unknown option --" << opt.name
+              << "\naccepted options:";
+    for (const auto& name : accepted_) std::cerr << " --" << name;
+    std::cerr << "\n";
+    std::exit(2);
+  }
 }
 
-bool CliArgs::has(std::string_view name) const noexcept {
+void CliArgs::require_accepted(std::string_view name) const {
+  if (std::ranges::find(accepted_, name) == accepted_.end()) {
+    throw InvariantError("CliArgs: option --" + std::string(name) +
+                         " is read but not declared");
+  }
+}
+
+bool CliArgs::has(std::string_view name) const {
+  require_accepted(name);
   for (const auto& opt : options_) {
     if (opt.name == name) return true;
   }
   return false;
 }
 
-std::optional<std::string> CliArgs::value(std::string_view name) const noexcept {
+std::optional<std::string> CliArgs::value(std::string_view name) const {
+  require_accepted(name);
   for (const auto& opt : options_) {
     if (opt.name == name && opt.value) return opt.value;
   }

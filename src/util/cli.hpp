@@ -1,11 +1,14 @@
 // appscope/util/cli.hpp
 //
-// Minimal command-line option parser shared by the bench and example
-// binaries: supports "--flag", "--key=value" and positional arguments, with
-// typed accessors and an auto-generated usage string.
+// Minimal command-line option parser shared by the example, daemon, query
+// and region binaries: supports "--flag", "--key=value" and positional
+// arguments, with typed accessors. Each program declares the option names it
+// reads once, at construction; any other option ("--help" included) is a
+// usage error that exits 2 before the program does any work.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -15,16 +18,19 @@ namespace appscope::util {
 
 class CliArgs {
  public:
-  /// Parses argv; never throws (malformed tokens become positionals).
-  CliArgs(int argc, char** argv);
+  /// Parses argv against `accepted`, the option names (without "--") the
+  /// program reads. On an option outside that list, prints the accepted
+  /// names to stderr and exits with status 2.
+  CliArgs(int argc, char** argv, std::initializer_list<std::string_view> accepted);
 
   const std::string& program() const noexcept { return program_; }
 
-  /// True if "--name" or "--name=..." was given.
-  bool has(std::string_view name) const noexcept;
+  /// True if "--name" or "--name=..." was given. Every accessor throws
+  /// InvariantError for a name missing from the accepted list.
+  bool has(std::string_view name) const;
 
   /// Value of "--name=value", if present.
-  std::optional<std::string> value(std::string_view name) const noexcept;
+  std::optional<std::string> value(std::string_view name) const;
 
   /// Typed accessors with defaults; throw InputError on malformed values.
   std::string get_string(std::string_view name, std::string default_value) const;
@@ -41,7 +47,10 @@ class CliArgs {
     std::optional<std::string> value;
   };
 
+  void require_accepted(std::string_view name) const;
+
   std::string program_;
+  std::vector<std::string> accepted_;
   std::vector<Option> options_;
   std::vector<std::string> positionals_;
 };

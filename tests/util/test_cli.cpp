@@ -7,18 +7,20 @@
 namespace appscope::util {
 namespace {
 
-CliArgs make_args(std::vector<std::string> tokens) {
+CliArgs make_args(std::vector<std::string> tokens,
+                  std::initializer_list<std::string_view> accepted = {}) {
   static std::vector<std::string> storage;
   storage = std::move(tokens);
   static std::vector<char*> argv;
   argv.clear();
   for (auto& t : storage) argv.push_back(t.data());
-  return CliArgs(static_cast<int>(argv.size()), argv.data());
+  return CliArgs(static_cast<int>(argv.size()), argv.data(), accepted);
 }
 
 TEST(CliArgs, ParsesFlagsAndValues) {
   const CliArgs args =
-      make_args({"prog", "--verbose", "--scale=paper", "input.csv"});
+      make_args({"prog", "--verbose", "--scale=paper", "input.csv"},
+                {"verbose", "scale", "quiet"});
   EXPECT_EQ(args.program(), "prog");
   EXPECT_TRUE(args.has("verbose"));
   EXPECT_TRUE(args.has("scale"));
@@ -30,7 +32,8 @@ TEST(CliArgs, ParsesFlagsAndValues) {
 }
 
 TEST(CliArgs, TypedAccessorsWithDefaults) {
-  const CliArgs args = make_args({"prog", "--k=7", "--ratio=0.5"});
+  const CliArgs args = make_args({"prog", "--k=7", "--ratio=0.5"},
+                                 {"k", "ratio", "missing", "name"});
   EXPECT_EQ(args.get_int("k", 2), 7);
   EXPECT_EQ(args.get_int("missing", 2), 2);
   EXPECT_DOUBLE_EQ(args.get_double("ratio", 1.0), 0.5);
@@ -39,7 +42,7 @@ TEST(CliArgs, TypedAccessorsWithDefaults) {
 }
 
 TEST(CliArgs, MalformedTypedValueThrows) {
-  const CliArgs args = make_args({"prog", "--k=abc"});
+  const CliArgs args = make_args({"prog", "--k=abc"}, {"k"});
   EXPECT_THROW(args.get_int("k", 0), InputError);
 }
 
@@ -55,8 +58,36 @@ TEST(CliArgs, EmptyArgvIsSafe) {
 }
 
 TEST(CliArgs, EqualsInValuePreserved) {
-  const CliArgs args = make_args({"prog", "--expr=a=b"});
+  const CliArgs args = make_args({"prog", "--expr=a=b"}, {"expr"});
   EXPECT_EQ(args.value("expr"), "a=b");
+}
+
+TEST(CliArgs, ReadingAnUndeclaredOptionThrows) {
+  const CliArgs args = make_args({"prog", "--k=1"}, {"k"});
+  EXPECT_EQ(args.get_int("k", 0), 1);
+  EXPECT_THROW(args.has("other"), InvariantError);
+  EXPECT_THROW(args.get_string("other", ""), InvariantError);
+}
+
+// An option outside the declared list ends the process with status 2 and
+// the accepted names on stderr, before the program can do any work.
+TEST(CliArgsDeathTest, UnknownOptionExitsTwoListingAcceptedNames) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(make_args({"prog", "--out=r.md", "--snapshot_dir=x"},
+                        {"snapshot", "out"}),
+              ::testing::ExitedWithCode(2),
+              "unknown option --snapshot_dir");
+  EXPECT_EXIT(make_args({"prog", "--snapshot_dir=x"}, {"snapshot", "out"}),
+              ::testing::ExitedWithCode(2),
+              "accepted options: --snapshot --out");
+}
+
+TEST(CliArgsDeathTest, HelpIsAnUnknownOption) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(make_args({"prog", "--help"}, {"scale"}),
+              ::testing::ExitedWithCode(2), "unknown option --help");
+  EXPECT_EXIT(make_args({"prog", "--help"}), ::testing::ExitedWithCode(2),
+              "accepted options:");
 }
 
 }  // namespace
